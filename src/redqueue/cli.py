@@ -280,6 +280,15 @@ def _read_samples(path):
     return batch, probe
 
 
+def _add_ecdf_band(header, columns, policy, samples, grid):
+    """Append sim_<policy>_lo/_mid/_hi: the ECDF tail and its band on grid."""
+    bands = [ecdf_tail(samples, t) for t in grid]
+    for suffix, index in (("lo", 1), ("mid", 0), ("hi", 2)):
+        name = f"sim_{policy}_{suffix}"
+        header.append(name)
+        columns[name] = [band[index] for band in bands]
+
+
 def _comparison_table(conf, params, policies, pooled, allow_unstable=True):
     """Theory curves plus pooled-simulation ECDF bands on a shared grid."""
     t_max = float(conf.get("t_max", 10.0))
@@ -302,16 +311,7 @@ def _comparison_table(conf, params, policies, pooled, allow_unstable=True):
         samples = pooled.get(policy)
         if samples is None or len(samples) < 100:
             continue
-        lo, mid, hi = [], [], []
-        for t in grid:
-            est, l, h = ecdf_tail(samples, t)
-            lo.append(l)
-            mid.append(est)
-            hi.append(h)
-        header += [f"sim_{policy}_lo", f"sim_{policy}_mid", f"sim_{policy}_hi"]
-        columns[f"sim_{policy}_lo"] = lo
-        columns[f"sim_{policy}_mid"] = mid
-        columns[f"sim_{policy}_hi"] = hi
+        _add_ecdf_band(header, columns, policy, samples, grid)
     return header, columns
 
 
@@ -360,19 +360,21 @@ def cmd_simulate(args):
 def cmd_compare(args):
     conf = parse_config(args.config)
     out_dir = Path(args.dir)
-    seeds = [int(s) for s in conf["seeds"].split(",")] if "seeds" in conf else None
-    params, policies, cells = _sim_cells(conf, seeds or [0])
+    if "seeds" not in conf:
+        raise ValueError("compare reads the seeds the config lists; add a `seeds` line")
+    seeds = [int(s) for s in conf["seeds"].split(",")]
+    params, policies, _ = _sim_cells(conf, seeds)
     pooled = {}
     for policy in policies:
         arrays = []
-        for path in sorted(out_dir.glob(f"samples_{policy}_seed*.csv")):
+        for seed in seeds:
+            path = out_dir / f"samples_{policy}_seed{seed}.csv"
+            if not path.is_file():
+                raise FileNotFoundError(f"no samples for listed seed {seed}: {path}")
             batch, _ = _read_samples(path)
             arrays.append(batch)
-        if arrays:
-            pooled[policy] = np.concatenate(arrays)
-    if not pooled:
-        raise ValueError(f"no sample files found under {out_dir}")
-    header, columns = _comparison_table(conf, params, [p for p in policies if p in pooled], pooled)
+        pooled[policy] = np.concatenate(arrays)
+    header, columns = _comparison_table(conf, params, policies, pooled)
     write_table(args.out, header, columns)
     print(f"wrote {args.out}")
     return 0
@@ -397,7 +399,6 @@ def cmd_fig1(args):
         header.append(f"mds_m{m}")
         columns[f"mds_m{m}"] = list(solutions[m].batch_tail.interp(grid))
     if args.simulate:
-        conf = {"t_max": args.t_max}
         pooled = {}
         for policy, params in (
             ("replication", params_rep),
@@ -415,16 +416,7 @@ def cmd_fig1(args):
             )
             pooled[policy] = result.batch_samples
         for policy, samples in pooled.items():
-            lo, mid, hi = [], [], []
-            for t in grid:
-                est, l, h = ecdf_tail(samples, t)
-                lo.append(l)
-                mid.append(est)
-                hi.append(h)
-            header += [f"sim_{policy}_lo", f"sim_{policy}_mid", f"sim_{policy}_hi"]
-            columns[f"sim_{policy}_lo"] = lo
-            columns[f"sim_{policy}_mid"] = mid
-            columns[f"sim_{policy}_hi"] = hi
+            _add_ecdf_band(header, columns, policy, samples, grid)
     csv_path = out_dir / "fig1.csv"
     write_table(csv_path, header, columns)
     title = f"batch completion tails, n={FIG1_N}, lam={args.lam:g}"
@@ -559,7 +551,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, nargs="+", default=[3])
     p.add_argument("--t-max", type=float, default=15.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="time spacing of the output grid")
     p.add_argument("--allow-unstable", action="store_true",
                    help="proceed when lam*(n+m)/n >= 1")
     p.add_argument("--out", default="meanfield.csv")
@@ -582,7 +575,8 @@ def build_parser():
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--grid-step", type=float, default=0.02)
-    p.add_argument("--step", type=float, default=1e-3, help="ODE integrator step")
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="time spacing of the mean-field solution grid")
     p.add_argument("--simulate", action="store_true", help="overlay simulation ECDFs")
     p.add_argument("--horizon", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0)

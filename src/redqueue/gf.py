@@ -1,12 +1,10 @@
 """Arithmetic over GF(2^8) and GF(2^16) with log/antilog tables.
 
 Matrix multiply and Gauss-Jordan elimination are the hot paths for the
-codec; both have a numba kernel and a vectorized numpy fallback.
+codec; both work a whole row at a time with numpy table lookups.
 """
 
 import numpy as np
-
-from ._accel import jit_kernel, select
 
 # Primitive polynomials: x^8+x^4+x^3+x^2+1 and x^16+x^12+x^3+x+1.
 _POLY = {256: 0x11D, 65536: 0x1100B}
@@ -76,27 +74,7 @@ class GaloisField:
         return self.solve(M, np.eye(M.shape[0], dtype=np.int64))
 
 
-def _gf_matmul_impl(A, B, logt, expt, q1):
-    rows, inner = A.shape
-    cols = B.shape[1]
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for t in range(inner):
-            a = A[i, t]
-            if a == 0:
-                continue
-            la = logt[a]
-            for j in range(cols):
-                b = B[t, j]
-                if b != 0:
-                    out[i, j] ^= expt[(la + logt[b]) % q1]
-    return out
-
-
-_gf_matmul_jit = jit_kernel(_gf_matmul_impl)
-
-
-def _gf_matmul_numpy(A, B, logt, expt, q1):
+def _gf_matmul(A, B, logt, expt, q1):
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for i in range(A.shape[0]):
         for t in range(A.shape[1]):
@@ -111,56 +89,7 @@ def _gf_matmul_numpy(A, B, logt, expt, q1):
     return out
 
 
-_gf_matmul = select(_gf_matmul_jit, _gf_matmul_numpy)
-
-
-def _gf_solve_impl(M, B, logt, expt, q1):
-    n = M.shape[0]
-    w = B.shape[1]
-    M = M.copy()
-    B = B.copy()
-    for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if M[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            return False, B
-        if piv != col:
-            for c in range(n):
-                tmp = M[col, c]
-                M[col, c] = M[piv, c]
-                M[piv, c] = tmp
-            for c in range(w):
-                tmp = B[col, c]
-                B[col, c] = B[piv, c]
-                B[piv, c] = tmp
-        linv = (q1 - logt[M[col, col]]) % q1
-        for c in range(n):
-            if M[col, c] != 0:
-                M[col, c] = expt[(logt[M[col, c]] + linv) % q1]
-        for c in range(w):
-            if B[col, c] != 0:
-                B[col, c] = expt[(logt[B[col, c]] + linv) % q1]
-        for r in range(n):
-            f = M[r, col]
-            if r == col or f == 0:
-                continue
-            lf = logt[f]
-            for c in range(n):
-                if M[col, c] != 0:
-                    M[r, c] ^= expt[(lf + logt[M[col, c]]) % q1]
-            for c in range(w):
-                if B[col, c] != 0:
-                    B[r, c] ^= expt[(lf + logt[B[col, c]]) % q1]
-    return True, B
-
-
-_gf_solve_jit = jit_kernel(_gf_solve_impl)
-
-
-def _gf_solve_numpy(M, B, logt, expt, q1):
+def _gf_solve(M, B, logt, expt, q1):
     n = M.shape[0]
     M = M.copy()
     B = B.copy()
@@ -190,6 +119,3 @@ def _gf_solve_numpy(M, B, logt, expt, q1):
             M[r] ^= scaled(M[col], lf)
             B[r] ^= scaled(B[col], lf)
     return True, B
-
-
-_gf_solve = select(_gf_solve_jit, _gf_solve_numpy)

@@ -14,7 +14,6 @@ from math import comb, lcm
 
 import numpy as np
 
-from ._accel import jit_kernel, select
 from .params import SystemParams
 
 # Alternating-sum coefficients lose all 64-bit precision well before this,
@@ -38,16 +37,12 @@ def _check_counts(n, m):
         raise ValueError(f"n+m must be <= {MAX_TOTAL}, got {n + m}")
 
 
-def _binom_lower_tail_impl(q, coefs, total):
+def _binom_lower_tail(q, coefs, total):
     # sum_{j < len(coefs)} C(total, j) (1-q)^j q^(total-j), elementwise.
     out = np.zeros_like(q)
     for j in range(coefs.shape[0]):
         out += coefs[j] * (1.0 - q) ** j * q ** (total - j)
     return out
-
-
-_binom_lower_tail_jit = jit_kernel(_binom_lower_tail_impl)
-_binom_lower_tail = select(_binom_lower_tail_jit, _binom_lower_tail_impl)
 
 
 def order_stat_tail(n, m, q):

@@ -45,7 +45,7 @@ def run_quiet(cfg):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile the numba kernels before any timed section
+    # build the GF tables and pay first-call costs before any timed section
     order_stat_tail(3, 3, np.array([0.5]))
     solve_quiet(SystemParams(lam=0.5, n=1, m=1, k=10), t_max=10.0, step=0.1)
     gf = GaloisField.get(256)

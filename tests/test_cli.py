@@ -153,6 +153,33 @@ class TestSimulate:
         assert rc == 0
         assert rebuilt.read_bytes() == (out / "comparison.csv").read_bytes()
 
+    def test_compare_reads_only_listed_seeds(self, config_path, tmp_path):
+        main(["simulate", "--config", str(config_path), "--seed", "7"])
+        out = tmp_path / "out"
+        stray = out / "samples_mds_seed999.csv"
+        stray.write_bytes((out / "samples_mds_seed7.csv").read_bytes())
+        rebuilt = tmp_path / "rebuilt.csv"
+        rc = main(["compare", "--config", str(config_path), "--dir", str(out),
+                   "--out", str(rebuilt)])
+        assert rc == 0
+        assert rebuilt.read_bytes() == (out / "comparison.csv").read_bytes()
+
+    def test_compare_missing_listed_seed(self, config_path, tmp_path, capsys):
+        main(["simulate", "--config", str(config_path), "--seed", "7"])
+        config_path.write_text(config_path.read_text() + "seeds = 7, 8\n")
+        rc = main(["compare", "--config", str(config_path), "--dir",
+                   str(tmp_path / "out"), "--out", str(tmp_path / "rebuilt.csv")])
+        assert rc == 2
+        assert "samples_mds_seed8.csv" in capsys.readouterr().err
+
+    def test_compare_needs_listed_seeds(self, config_path, tmp_path):
+        main(["simulate", "--config", str(config_path), "--seed", "7"])
+        text = config_path.read_text().replace("seeds = 7\n", "")
+        config_path.write_text(text)
+        rc = main(["compare", "--config", str(config_path), "--dir",
+                   str(tmp_path / "out"), "--out", str(tmp_path / "rebuilt.csv")])
+        assert rc == 1
+
     def test_cell_failure_exit_code(self, config_path, monkeypatch):
         def boom(cfg):
             raise RuntimeError("synthetic cell failure")

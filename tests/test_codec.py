@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from redqueue import CodedJob, DecodingError, build_matrix, decode, encode
-from redqueue.gf import (
-    GaloisField,
-    _gf_matmul_impl,
-    _gf_matmul_numpy,
-    _gf_solve_impl,
-    _gf_solve_numpy,
-)
+from redqueue.gf import GaloisField
 
 
 @pytest.fixture(scope="module", params=[256, 65536])
@@ -58,29 +52,24 @@ class TestFieldTables:
 
 
 class TestKernelParity:
-    """The numba kernels and the numpy fallbacks must agree exactly."""
+    """matmul and solve agree with oracles built from elementwise mul."""
 
     def test_matmul(self, gf):
         rng = np.random.default_rng(2)
         A = rng.integers(0, gf.order, (5, 4)).astype(np.int64)
         B = rng.integers(0, gf.order, (4, 33)).astype(np.int64)
-        q1 = gf.order - 1
-        assert np.array_equal(
-            _gf_matmul_impl(A, B, gf.log, gf.exp, q1),
-            _gf_matmul_numpy(A, B, gf.log, gf.exp, q1),
-        )
+        A[0, 1] = B[2, 5] = 0  # the kernel skips zero entries
+        oracle = np.bitwise_xor.reduce(gf.mul(A[:, :, None], B[None, :, :]), axis=1)
+        assert np.array_equal(gf.matmul(A, B), oracle)
 
     def test_solve(self, gf):
         rng = np.random.default_rng(3)
-        q1 = gf.order - 1
         for _ in range(5):
             M = rng.integers(0, gf.order, (6, 6)).astype(np.int64)
             B = rng.integers(0, gf.order, (6, 9)).astype(np.int64)
-            ok1, X1 = _gf_solve_impl(M, B, gf.log, gf.exp, q1)
-            ok2, X2 = _gf_solve_numpy(M, B, gf.log, gf.exp, q1)
-            assert bool(ok1) == bool(ok2)
-            if ok1:
-                assert np.array_equal(X1, X2)
+            X = gf.solve(M, B)
+            assert X is not None
+            assert np.array_equal(gf.matmul(M, X), B)
 
     def test_solve_roundtrip(self, gf):
         rng = np.random.default_rng(4)

@@ -85,6 +85,13 @@ class TestSolve:
         closed = replication_closed_form(lam, d, t)
         assert np.max(np.abs(sol.virtual_tail.values - closed)) <= 1e-6
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_redundancy_is_mm1(self, n):
+        # m=0: f(q) = (lam - 1) q, the M/M/1 sojourn tail e^{-(1-lam)t}
+        sol = solve_quiet(problem(0.6, n, 0))
+        t = sol.virtual_tail.times
+        assert np.max(np.abs(sol.virtual_tail.values - np.exp(-0.4 * t))) <= 1e-12
+
     def test_value_at_ln3(self):
         sol = solve_quiet(problem(0.5, 1, 1))
         assert sol.virtual_tail.interp(np.log(3)) == pytest.approx(0.5, abs=1e-6)
@@ -118,15 +125,26 @@ class TestSolve:
             assert np.all(curve.values <= 1)
             assert np.all(np.diff(curve.values) <= 1e-12)
 
-    def test_step_halving_order(self):
-        sols = {
-            h: solve_quiet(problem(0.5, 3, 3, step=h)).virtual_tail.values
-            for h in (4e-3, 2e-3, 1e-3)
-        }
-        d1 = np.max(np.abs(sols[4e-3][::1] - sols[2e-3][::2]))
-        d2 = np.max(np.abs(sols[2e-3][::1] - sols[1e-3][::2]))
+    def test_quadrature_convergence_order(self, monkeypatch):
+        # Simpson and cubic Hermite are both fourth order in the node spacing
+        sols = {}
+        for intervals in (250, 500, 1000):
+            monkeypatch.setattr(mf, "QUAD_INTERVALS", intervals)
+            sols[intervals] = solve_quiet(problem(0.5, 3, 3)).virtual_tail.values
+        d1 = np.max(np.abs(sols[250] - sols[500]))
+        d2 = np.max(np.abs(sols[500] - sols[1000]))
         order = np.log2(d1 / d2)
         assert order >= 3.5
+
+    @pytest.mark.parametrize("n,m,lam", [(3, 3, 0.5), (4, 2, 0.9), (2, 5, 0.3)])
+    def test_solution_satisfies_ode(self, n, m, lam):
+        # central differences of the returned curve against the drift itself
+        prob = problem(lam, n, m)
+        sol = solve_quiet(prob)
+        t, q = sol.virtual_tail.times, sol.virtual_tail.values
+        slope = (q[2:] - q[:-2]) / (t[2:] - t[:-2])
+        drift = np.array([ode_rhs(prob, v) for v in q[1:-1:50]])
+        assert np.max(np.abs(slope[::50] - drift)) <= 1e-6
 
     def test_unstable_warning(self):
         prob = problem(0.5, 3, 6)
@@ -135,14 +153,21 @@ class TestSolve:
             solve_virtual_tail(prob)
 
     def test_integration_failure_diagnostic(self, monkeypatch):
-        def broken(q0, h, nsteps, *args):
-            out = np.ones(nsteps + 1)
-            out[7] = np.nan
-            return out
+        def broken(params, q):
+            f = -np.asarray(q, dtype=float)
+            return np.where(f < -0.5, f, np.nan) if f.ndim else f
 
-        monkeypatch.setattr(mf, "_rk4", broken)
-        with pytest.raises(IntegrationError, match="step 7"):
+        monkeypatch.setattr(mf, "_drift", broken)
+        with pytest.raises(IntegrationError, match=r"drift f\(q\) = nan at q = 0\.49"):
             solve_virtual_tail(problem(0.5, 3, 1))
+
+    def test_overload_stays_at_one(self):
+        # lam >= 1 makes f(1) = lam - 1 >= 0, so the tail never leaves 1
+        prob = problem(1.2, 3, 3)
+        assert ode_rhs(prob, 1.0) == pytest.approx(0.2, abs=1e-14)
+        sol = solve_quiet(prob)
+        assert np.all(sol.virtual_tail.values == 1.0)
+        assert np.all(sol.batch_tail.values == 1.0)
 
 
 class TestExponents:
