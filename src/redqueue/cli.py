@@ -203,27 +203,16 @@ def cmd_analytic(args):
     return 0
 
 
-def _solve_curves(lam, n, ms, t_max, step, allow_unstable):
-    import warnings
-
+def _solve_curves(lam, n, ms, t_max, step):
     solutions = {}
     for m in ms:
         params = SystemParams(lam=lam, n=n, m=m, k=max(1000, n + m))
-        if params.alpha >= 1 and not allow_unstable:
-            raise ValueError(
-                f"alpha = lam*(n+m)/n = {params.alpha:.4g} >= 1 for m={m}; "
-                "re-run with --allow-unstable to proceed"
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solutions[m] = solve_virtual_tail(
-                MeanFieldProblem(params, t_max=t_max, step=step)
-            )
+        solutions[m] = solve_virtual_tail(MeanFieldProblem(params, t_max=t_max, step=step))
     return solutions
 
 
 def cmd_meanfield(args):
-    solutions = _solve_curves(args.lam, args.n, args.m, args.t_max, args.step, args.allow_unstable)
+    solutions = _solve_curves(args.lam, args.n, args.m, args.t_max, args.step)
     some = next(iter(solutions.values()))
     grid = some.virtual_tail.times
     header = ["t"]
@@ -289,7 +278,7 @@ def _add_ecdf_band(header, columns, policy, samples, grid):
         columns[name] = [band[index] for band in bands]
 
 
-def _comparison_table(conf, params, policies, pooled, allow_unstable=True):
+def _comparison_table(conf, params, policies, pooled):
     """Theory curves plus pooled-simulation ECDF bands on a shared grid."""
     t_max = float(conf.get("t_max", 10.0))
     step = float(conf.get("step", 1e-3))
@@ -302,9 +291,7 @@ def _comparison_table(conf, params, policies, pooled, allow_unstable=True):
         columns[name] = list(rep_batch_tail(params, grid))
     if "mds" in policies:
         name = f"mds_m{params.m}"
-        sol = _solve_curves(
-            params.lam, params.n, [params.m], max(t_max, 10.0 / (params.m + 1)), step, allow_unstable
-        )[params.m]
+        sol = _solve_curves(params.lam, params.n, [params.m], t_max, step)[params.m]
         header.append(name)
         columns[name] = list(sol.batch_tail.interp(grid))
     for policy in policies:
@@ -392,9 +379,7 @@ def cmd_fig1(args):
     params_rep = SystemParams(lam=args.lam, n=FIG1_N, d=FIG1_D, k=1000)
     header = ["t", f"rep_d{FIG1_D}"]
     columns = {"t": list(grid), f"rep_d{FIG1_D}": list(rep_batch_tail(params_rep, grid))}
-    solutions = _solve_curves(
-        args.lam, FIG1_N, FIG1_MS, max(args.t_max, 5.0), args.step, allow_unstable=True
-    )
+    solutions = _solve_curves(args.lam, FIG1_N, FIG1_MS, args.t_max, args.step)
     for m in FIG1_MS:
         header.append(f"mds_m{m}")
         columns[f"mds_m{m}"] = list(solutions[m].batch_tail.interp(grid))
@@ -482,14 +467,10 @@ def cmd_selftest(args):
                     assert abs(a - b) < 1e-10, (n, m, q, a, b)
 
     def ode_closed_form():
-        import warnings
-
         lam, d = 0.5, 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = solve_virtual_tail(
-                MeanFieldProblem(SystemParams(lam=lam, n=1, m=d - 1, k=10), t_max=15, step=1e-3)
-            )
+        sol = solve_virtual_tail(
+            MeanFieldProblem(SystemParams(lam=lam, n=1, m=d - 1, k=10), t_max=15, step=1e-3)
+        )
         t = sol.virtual_tail.times
         closed = (lam + (1 - lam) * np.exp(t * (d - 1))) ** (-1.0 / (d - 1))
         assert np.max(np.abs(sol.virtual_tail.values - closed)) <= 1e-6
@@ -497,7 +478,7 @@ def cmd_selftest(args):
     def fig1_shape():
         grid = np.arange(0.0, 10.0001, 0.05)
         rep = rep_batch_tail(SystemParams(lam=0.5, n=3, d=3, k=1000), grid)
-        sols = _solve_curves(0.5, 3, [3, 4], 15.0, 1e-3, allow_unstable=True)
+        sols = _solve_curves(0.5, 3, [3, 4], 15.0, 1e-3)
         diff3 = sols[3].batch_tail.interp(grid) - rep
         signs = np.sign(diff3[np.abs(diff3) > 1e-12])
         assert np.any(np.diff(signs) != 0), "m=3 curve never crosses replication"
@@ -553,8 +534,6 @@ def build_parser():
     p.add_argument("--t-max", type=float, default=15.0)
     p.add_argument("--step", type=float, default=1e-3,
                    help="time spacing of the output grid")
-    p.add_argument("--allow-unstable", action="store_true",
-                   help="proceed when lam*(n+m)/n >= 1")
     p.add_argument("--out", default="meanfield.csv")
     p.set_defaults(func=cmd_meanfield)
 

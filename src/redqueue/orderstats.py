@@ -77,7 +77,6 @@ def order_stat_tail_alternating(n, m, q):
     scalar = arr.ndim == 0
     pref = (n + m) * comb(n + m - 1, n - 1)
     denom_lcm = lcm(*range(m + 1, m + n + 1))
-    top = m + n
     # signed integer coefficient of q^(m+i+1) after clearing denominators
     coefs = [
         (-1 if i & 1 else 1) * comb(n - 1, i) * (denom_lcm // (m + i + 1))
@@ -88,17 +87,15 @@ def order_stat_tail_alternating(n, m, q):
         if qv == 0.0:
             return 0.0
         num, den = float(qv).as_integer_ratio()
-        npow = [1] * (top + 1)
-        dpow = [1] * (top + 1)
-        for j in range(1, top + 1):
-            npow[j] = npow[j - 1] * num
-            dpow[j] = dpow[j - 1] * den
-        total = 0
-        for i in range(n):
-            k = m + i + 1
-            total += coefs[i] * npow[k] * dpow[top - k]
+        # q^(m+1) * sum_i coefs[i] q^i, with q = num/den, is
+        # num^(m+1) * h / den^(m+n) for the homogeneous Horner sum
+        # h = sum_i coefs[i] num^i den^(n-1-i)
+        h, den_pow = coefs[-1], 1
+        for c in reversed(coefs[:-1]):
+            den_pow *= den
+            h = h * num + c * den_pow
         # int/int division is correctly rounded for arbitrary precision
-        return (pref * total) / (denom_lcm * dpow[top])
+        return (pref * h * num ** (m + 1)) / (denom_lcm * den_pow * den ** (m + 1))
 
     out = np.array([one(qv) for qv in np.atleast_1d(arr)])
     return float(out[0]) if scalar else out
@@ -111,12 +108,20 @@ def mds_leading_term(n, m, q):
     return (n + m) * comb(n + m - 1, n - 1) / (m + 1) * arr ** (m + 1)
 
 
+def _any_of(n, s):
+    """1 - (1 - s)^n as s * sum_{j<n} (1 - s)^j, free of cancellation for tiny s."""
+    acc = 1.0
+    for _ in range(n - 1):
+        acc = 1.0 + (1.0 - s) * acc
+    return s * acc
+
+
 def rep_heuristic_tail(n, d, fbar):
     """Heuristic batch tail under replication: 1 - (1 - fbar^d)^n."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     arr = _check_prob(fbar, "fbar")
-    return 1.0 - (1.0 - arr**d) ** n
+    return _any_of(n, arr**d)
 
 
 def _check_rep_params(params: SystemParams):
@@ -144,7 +149,4 @@ def rep_single_tail(params: SystemParams, t):
 
 def rep_batch_tail(params: SystemParams, t):
     """Stationary batch tail under replication: 1 - (1 - single_tail)^n."""
-    single = rep_single_tail(params, t)
-    if params.n == 1:
-        return single  # avoids 1-(1-s) ulp loss for tiny tails
-    return 1.0 - (1.0 - single) ** params.n
+    return _any_of(params.n, rep_single_tail(params, t))

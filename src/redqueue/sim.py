@@ -40,11 +40,10 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        p = self.params
-        if self.policy == "mds" and p.k < p.n + p.m:
-            raise ValueError(f"mds needs k >= n+m, got k={p.k}, n+m={p.n + p.m}")
-        if self.policy == "replication" and p.k < p.d:
-            raise ValueError(f"replication needs k >= d, got k={p.k}, d={p.d}")
+        if self.params.lam >= 1:
+            raise ValueError(
+                f"lam must be < 1 for a stationary system, got lam={self.params.lam}"
+            )
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("need 0 <= warmup < horizon")
         if not 0.0 <= self.probe_rate <= 1.0:
@@ -115,14 +114,6 @@ def run(config: SimConfig) -> SimResult:
     p = config.params
     n, m, d, k = p.n, p.m, p.d, p.k
     mds = config.policy == "mds"
-    if mds and p.alpha >= 1:
-        import warnings
-
-        warnings.warn(
-            f"alpha={p.alpha:.3g} >= 1: outside the guarded stability region",
-            stacklevel=2,
-        )
-
     rng = np.random.default_rng(config.seed)
     batch_rate = p.lam * k / n
     heap = []

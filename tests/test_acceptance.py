@@ -7,7 +7,6 @@ captured output on failure).  Run just this gate with:
 """
 
 import time
-import warnings
 from itertools import combinations
 
 import numpy as np
@@ -31,23 +30,12 @@ from redqueue import (
 from redqueue.gf import GaloisField
 
 
-def solve_quiet(params, t_max=15.0, step=1e-3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return solve_virtual_tail(MeanFieldProblem(params, t_max=t_max, step=step))
-
-
-def run_quiet(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run(cfg)
-
-
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     # build the GF tables and pay first-call costs before any timed section
     order_stat_tail(3, 3, np.array([0.5]))
-    solve_quiet(SystemParams(lam=0.5, n=1, m=1, k=10), t_max=10.0, step=0.1)
+    params = SystemParams(lam=0.5, n=1, m=1, k=10)
+    solve_virtual_tail(MeanFieldProblem(params, t_max=10.0, step=0.1))
     gf = GaloisField.get(256)
     gf.matmul(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64))
     gf.solve(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64))
@@ -89,7 +77,7 @@ def test_criterion_2_ode_vs_closed_form():
     worst = 0.0
     for d in (2, 3, 4):
         for lam in (0.3, 0.5, 0.7):
-            sol = solve_quiet(SystemParams(lam=lam, n=1, m=d - 1, k=10))
+            sol = solve_virtual_tail(MeanFieldProblem(SystemParams(lam=lam, n=1, m=d - 1, k=10)))
             t = sol.virtual_tail.times
             closed = (lam + (1 - lam) * np.exp(t * (d - 1))) ** (-1.0 / (d - 1))
             worst = max(worst, float(np.max(np.abs(sol.virtual_tail.values - closed))))
@@ -103,7 +91,7 @@ def test_criterion_3_tail_exponents():
     details = []
     ok = True
     for n, m in ((3, 2), (3, 3), (3, 6)):
-        sol = solve_quiet(SystemParams(lam=0.5, n=n, m=m, k=10))
+        sol = solve_virtual_tail(MeanFieldProblem(SystemParams(lam=0.5, n=n, m=m, k=10)))
         sv = tail_exponent(sol.virtual_tail, (10, 14))
         sb = tail_exponent(sol.batch_tail, (10, 14))
         ok &= -1.05 <= sv <= -0.95
@@ -119,7 +107,7 @@ def test_criterion_4_mm1_sanity():
         params=SystemParams(lam=0.5, n=1, m=0, k=200), policy="mds", seed=404,
         horizon=200_000, warmup=10_000, probe_rate=0.1,
     )
-    res = run_quiet(cfg)
+    res = run(cfg)
     job_mean = res.batch_samples.mean()
     probe_mean = res.probe_samples.mean()
     grid = np.linspace(1.0, 8.0, 15)
@@ -140,7 +128,7 @@ def test_criterion_5_replication_closed_form():
     params = SystemParams(lam=0.5, n=3, d=3, k=1000)
     cfg = SimConfig(params=params, policy="replication", seed=505,
                     horizon=200_000, warmup=10_000, probe_rate=0.0)
-    res = run_quiet(cfg)
+    res = run(cfg)
     dist = sup_distance(res.batch_samples, lambda t: rep_batch_tail(params, t))
     band = np.sqrt(np.log(2 / 0.01) / (2 * len(res.batch_samples)))
     elapsed = time.perf_counter() - t0
@@ -153,8 +141,8 @@ def test_criterion_6_mds_theory_vs_simulation():
     params = SystemParams(lam=0.5, n=3, m=3, k=1000)
     cfg = SimConfig(params=params, policy="mds", seed=606,
                     horizon=200_000, warmup=10_000, probe_rate=0.1)
-    res = run_quiet(cfg)
-    sol = solve_quiet(params)
+    res = run(cfg)
+    sol = solve_virtual_tail(MeanFieldProblem(params))
     dist_batch = sup_distance(res.batch_samples, lambda t: sol.batch_tail.interp(t))
     dist_probe = sup_distance(res.probe_samples, lambda t: sol.virtual_tail.interp(t))
     ok = dist_batch <= 0.02 and dist_probe <= 0.02
@@ -168,10 +156,10 @@ def test_criterion_7_fig1_qualitative():
     t0 = time.perf_counter()
     grid = np.arange(0.0, 10.0001, 0.01)
     rep = rep_batch_tail(SystemParams(lam=0.5, n=3, d=3, k=10), grid)
-    curves = {
-        m: solve_quiet(SystemParams(lam=0.5, n=3, m=m, k=10)).batch_tail.interp(grid)
-        for m in (3, 4, 5, 6)
-    }
+    curves = {}
+    for m in (3, 4, 5, 6):
+        sol = solve_virtual_tail(MeanFieldProblem(SystemParams(lam=0.5, n=3, m=m, k=10)))
+        curves[m] = sol.batch_tail.interp(grid)
     diff3 = curves[3] - rep
     signs = np.sign(diff3[np.abs(diff3) > 1e-12])
     crosses = bool(np.any(np.diff(signs) != 0))
@@ -213,11 +201,11 @@ def test_criterion_9_replication_as_coding():
     details = []
     ok = True
     for d in (2, 3):
-        mds_res = run_quiet(SimConfig(
+        mds_res = run(SimConfig(
             params=SystemParams(lam=0.5, n=1, m=d - 1, k=200), policy="mds",
             seed=1000 + d, horizon=110_000, warmup=10_000, probe_rate=0.0,
         ))
-        rep_res = run_quiet(SimConfig(
+        rep_res = run(SimConfig(
             params=SystemParams(lam=0.5, n=1, d=d, k=200), policy="replication",
             seed=2000 + d, horizon=110_000, warmup=10_000, probe_rate=0.0,
         ))

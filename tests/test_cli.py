@@ -89,26 +89,26 @@ class TestAnalytic:
 class TestMeanfield:
     def test_closed_form_column(self, tmp_path):
         out = tmp_path / "mf.csv"
-        rc = main(["meanfield", "--lam", "0.5", "--n", "1", "--m", "1",
-                   "--allow-unstable", "--out", str(out)])
+        rc = main(["meanfield", "--lam", "0.5", "--n", "1", "--m", "1", "--out", str(out)])
         assert rc == 0
         _, cols = read_table(out)
         t = np.array(cols["t"])
         closed = 1 / (0.5 + 0.5 * np.exp(t))
         assert np.max(np.abs(np.array(cols["virtual_m1"]) - closed)) <= 1e-6
 
-    def test_unstable_guard_requires_flag(self, tmp_path, capsys):
+    def test_coded_load_above_one_needs_no_flag(self, tmp_path):
+        # alpha = lam*(n+m)/n = 1 is stable: the drift is negative on (0, 1]
         args = ["meanfield", "--lam", "0.5", "--n", "3", "--m", "3",
                 "--out", str(tmp_path / "mf.csv")]
-        assert main(args) == 1
-        assert "--allow-unstable" in capsys.readouterr().err
-        assert main(args + ["--allow-unstable"]) == 0
+        assert main(args) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--allow-unstable"])
+        assert exc.value.code == 2
 
     def test_columns_monotone_from_one(self, tmp_path):
         out = tmp_path / "mf.csv"
         rc = main(["meanfield", "--lam", "0.5", "--n", "3",
-                   "--m", "2", "3", "4", "5", "6",
-                   "--allow-unstable", "--out", str(out)])
+                   "--m", "2", "3", "4", "5", "6", "--out", str(out)])
         assert rc == 0
         header, cols = read_table(out)
         mds_cols = [h for h in header if h.startswith("mds_m")]
@@ -187,6 +187,12 @@ class TestSimulate:
         monkeypatch.setattr(cli, "run", boom)
         rc = main(["simulate", "--config", str(config_path), "--seed", "7"])
         assert rc == 2
+
+    def test_overload_rejected(self, config_path, capsys):
+        config_path.write_text(config_path.read_text().replace("lambda = 0.5", "lambda = 1.2"))
+        rc = main(["simulate", "--config", str(config_path), "--seed", "7"])
+        assert rc == 1
+        assert "lam" in capsys.readouterr().err
 
     def test_missing_seed_rejected(self, config_path):
         with pytest.raises(SystemExit):

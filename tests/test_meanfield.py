@@ -1,7 +1,5 @@
 """Mean-field ODE: drift forms, integration accuracy, tail exponents."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -22,12 +20,6 @@ from redqueue.meanfield import ode_rhs_alternating
 
 def problem(lam, n, m, t_max=15.0, step=1e-3):
     return MeanFieldProblem(SystemParams(lam=lam, n=n, m=m, k=1000), t_max=t_max, step=step)
-
-
-def solve_quiet(prob):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return solve_virtual_tail(prob)
 
 
 def replication_closed_form(lam, d, t):
@@ -74,13 +66,13 @@ class TestDrift:
 
 class TestSolve:
     def test_initial_condition(self):
-        sol = solve_quiet(problem(0.5, 3, 2))
+        sol = solve_virtual_tail(problem(0.5, 3, 2))
         assert sol.virtual_tail.values[0] == 1.0
         assert sol.batch_tail.values[0] == 1.0
 
     @pytest.mark.parametrize("d,lam", [(2, 0.5), (3, 0.7), (4, 0.3)])
     def test_replication_closed_form(self, d, lam):
-        sol = solve_quiet(problem(lam, 1, d - 1))
+        sol = solve_virtual_tail(problem(lam, 1, d - 1))
         t = sol.virtual_tail.times
         closed = replication_closed_form(lam, d, t)
         assert np.max(np.abs(sol.virtual_tail.values - closed)) <= 1e-6
@@ -88,12 +80,12 @@ class TestSolve:
     @pytest.mark.parametrize("n", [1, 3])
     def test_no_redundancy_is_mm1(self, n):
         # m=0: f(q) = (lam - 1) q, the M/M/1 sojourn tail e^{-(1-lam)t}
-        sol = solve_quiet(problem(0.6, n, 0))
+        sol = solve_virtual_tail(problem(0.6, n, 0))
         t = sol.virtual_tail.times
         assert np.max(np.abs(sol.virtual_tail.values - np.exp(-0.4 * t))) <= 1e-12
 
     def test_value_at_ln3(self):
-        sol = solve_quiet(problem(0.5, 1, 1))
+        sol = solve_virtual_tail(problem(0.5, 1, 1))
         assert sol.virtual_tail.interp(np.log(3)) == pytest.approx(0.5, abs=1e-6)
 
     def test_batch_below_virtual_in_tail(self):
@@ -103,7 +95,7 @@ class TestSolve:
         # tail has decayed past the crossing, and stays below.
         q = np.linspace(0.001, 0.65, 200)
         assert np.all(order_stat_tail(3, 3, q) < q)
-        sol = solve_quiet(problem(0.5, 3, 3))
+        sol = solve_virtual_tail(problem(0.5, 3, 3))
         mask = sol.virtual_tail.values < 0.65
         assert mask.any()
         assert np.all(
@@ -111,14 +103,17 @@ class TestSolve:
         )
 
     def test_composition_invariant(self):
-        sol = solve_quiet(problem(0.6, 2, 2))
+        sol = solve_virtual_tail(problem(0.6, 2, 2))
         recomposed = order_stat_tail(2, 2, sol.virtual_tail.values)
         assert np.array_equal(sol.batch_tail.values, recomposed)
 
-    @pytest.mark.parametrize("n,m,lam", [(3, 1, 0.5), (4, 1, 0.6), (2, 1, 0.4)])
+    @pytest.mark.parametrize(
+        "n,m,lam",
+        [(3, 1, 0.5), (4, 1, 0.6), (2, 1, 0.4), (3, 4, 0.5), (3, 5, 0.5), (3, 6, 0.5)],
+    )
     def test_monotone_and_bounded_in_stable_regime(self, n, m, lam):
         prob = problem(lam, n, m, t_max=10.0)
-        assert prob.params.alpha < 1
+        assert prob.params.lam < 1
         sol = solve_virtual_tail(prob)
         for curve in (sol.virtual_tail, sol.batch_tail):
             assert np.all(curve.values >= 0)
@@ -130,7 +125,7 @@ class TestSolve:
         sols = {}
         for intervals in (250, 500, 1000):
             monkeypatch.setattr(mf, "QUAD_INTERVALS", intervals)
-            sols[intervals] = solve_quiet(problem(0.5, 3, 3)).virtual_tail.values
+            sols[intervals] = solve_virtual_tail(problem(0.5, 3, 3)).virtual_tail.values
         d1 = np.max(np.abs(sols[250] - sols[500]))
         d2 = np.max(np.abs(sols[500] - sols[1000]))
         order = np.log2(d1 / d2)
@@ -140,17 +135,19 @@ class TestSolve:
     def test_solution_satisfies_ode(self, n, m, lam):
         # central differences of the returned curve against the drift itself
         prob = problem(lam, n, m)
-        sol = solve_quiet(prob)
+        sol = solve_virtual_tail(prob)
         t, q = sol.virtual_tail.times, sol.virtual_tail.values
         slope = (q[2:] - q[:-2]) / (t[2:] - t[:-2])
         drift = np.array([ode_rhs(prob, v) for v in q[1:-1:50]])
         assert np.max(np.abs(slope[::50] - drift)) <= 1e-6
 
-    def test_unstable_warning(self):
+    def test_coded_load_above_one_solves_quietly(self, recwarn):
+        # stability is lam < 1; a coded load alpha = lam*(n+m)/n >= 1 is not a boundary
         prob = problem(0.5, 3, 6)
-        assert prob.params.alpha >= 1
-        with pytest.warns(UserWarning, match="alpha"):
-            solve_virtual_tail(prob)
+        assert prob.params.alpha == 1.5
+        sol = solve_virtual_tail(prob)
+        assert not recwarn.list
+        assert np.all(np.diff(sol.virtual_tail.values) < 0)
 
     def test_integration_failure_diagnostic(self, monkeypatch):
         def broken(params, q):
@@ -165,7 +162,7 @@ class TestSolve:
         # lam >= 1 makes f(1) = lam - 1 >= 0, so the tail never leaves 1
         prob = problem(1.2, 3, 3)
         assert ode_rhs(prob, 1.0) == pytest.approx(0.2, abs=1e-14)
-        sol = solve_quiet(prob)
+        sol = solve_virtual_tail(prob)
         assert np.all(sol.virtual_tail.values == 1.0)
         assert np.all(sol.batch_tail.values == 1.0)
 
@@ -177,12 +174,12 @@ class TestExponents:
         assert tail_exponent(curve, (0, 10)) == pytest.approx(-2.0, abs=1e-9)
 
     def test_virtual_exponent_n1_m1(self):
-        sol = solve_quiet(problem(0.5, 1, 1))
+        sol = solve_virtual_tail(problem(0.5, 1, 1))
         slope = tail_exponent(sol.virtual_tail, (8, 12))
         assert -1.05 <= slope <= -0.95
 
     def test_batch_exponent_n1_m1(self):
-        sol = solve_quiet(problem(0.5, 1, 1))
+        sol = solve_virtual_tail(problem(0.5, 1, 1))
         slope = tail_exponent(sol.batch_tail, (8, 12))
         assert -2.1 <= slope <= -1.9
 
@@ -208,7 +205,11 @@ class TestProblemValidation:
 
     def test_horizon_long_enough(self):
         with pytest.raises(ValueError, match="t_max"):
-            MeanFieldProblem(SystemParams(lam=0.5, n=1, m=1, k=10), t_max=1.0)
+            MeanFieldProblem(SystemParams(lam=0.5, n=1, m=1, k=10), t_max=0.05, step=0.1)
+
+    def test_short_horizon_accepted(self):
+        prob = MeanFieldProblem(SystemParams(lam=0.5, n=1, m=1, k=10), t_max=1.0)
+        assert solve_virtual_tail(prob).virtual_tail.times.size == 1001
 
     def test_total_capped(self):
         with pytest.raises(ValueError):

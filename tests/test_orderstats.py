@@ -1,6 +1,7 @@
 """Closed-form tail formulas against hand values and independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestRepBatchTail:
     def test_hand_value_n2(self):
         p = SystemParams(lam=0.5, n=2, d=2, k=10)
         assert rep_batch_tail(p, math.log(3)) == pytest.approx(0.4375, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [13.0, 15.0])
+    def test_deep_tail_exact(self, t):
+        # 1 - (1 - s)^3 in floats returns exactly 0 here
+        p = SystemParams(lam=0.5, n=3, d=3, k=10)
+        exact = 1 - (1 - Fraction(rep_single_tail(p, t))) ** 3
+        assert abs(rep_batch_tail(p, t) - exact) <= 1e-12 * exact
 
 
 class TestOrderStatTail:
@@ -192,6 +200,10 @@ class TestRepHeuristicTail:
     def test_leading_term(self):
         f = 0.01
         assert rep_heuristic_tail(3, 3, f) == pytest.approx(3 * f**3, rel=1e-3)
+
+    def test_deep_tail_exact(self):
+        exact = 1 - (1 - Fraction(1e-7) ** 3) ** 3
+        assert abs(rep_heuristic_tail(3, 3, 1e-7) - exact) <= 1e-12 * exact
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Discrete-event simulator against closed-form queueing oracles."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -13,12 +11,6 @@ from redqueue import (
     run,
     sup_distance,
 )
-
-
-def quiet_run(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run(cfg)
 
 
 def mm1_cfg(**kw):
@@ -36,11 +28,15 @@ def mm1_cfg(**kw):
 
 class TestConfigValidation:
     def test_k_too_small_for_replication(self):
-        # SystemParams itself enforces k >= max(n+m, d); the replication
-        # policy additionally needs k >= d, which is then always satisfied,
-        # so the reachable failure is at parameter construction.
+        # SystemParams enforces k >= max(n+m, d), so both policies always
+        # find enough distinct servers and SimConfig needs no check of its own
         with pytest.raises(ValueError, match="k must be"):
             SystemParams(lam=0.5, n=1, d=8, k=7)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.2])
+    def test_overload_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            SimConfig(params=SystemParams(lam=lam, k=10), policy="mds", seed=0)
 
     def test_bad_policy(self):
         with pytest.raises(ValueError, match="policy"):
@@ -59,7 +55,7 @@ class TestConfigValidation:
 
 @pytest.fixture(scope="module")
 def result():
-    return quiet_run(mm1_cfg())
+    return run(mm1_cfg())
 
 
 class TestMM1:
@@ -96,7 +92,7 @@ class TestIsolatedBatch:
             params=SystemParams(lam=1e-4, n=3, m=3, k=50), policy="mds",
             seed=7, horizon=4_000, warmup=0, probe_rate=0.0,
         )
-        res = quiet_run(cfg)
+        res = run(cfg)
         expected = 1 / 6 + 1 / 5 + 1 / 4
         assert res.batch_samples.mean() == pytest.approx(expected, rel=0.03)
 
@@ -105,31 +101,31 @@ class TestIsolatedBatch:
             params=SystemParams(lam=1e-4, n=1, m=0, k=50), policy="mds",
             seed=8, horizon=3_000, warmup=0, probe_rate=1.0,
         )
-        res = quiet_run(cfg)
+        res = run(cfg)
         assert len(res.probe_samples) == 3_000
         assert res.probe_samples.mean() == pytest.approx(1.0, rel=0.06)
 
 
 class TestDeterminism:
     def test_identical_seeds_identical_results(self):
-        a = quiet_run(mm1_cfg(seed=5))
-        b = quiet_run(mm1_cfg(seed=5))
+        a = run(mm1_cfg(seed=5))
+        b = run(mm1_cfg(seed=5))
         assert np.array_equal(a.batch_samples, b.batch_samples)
         assert np.array_equal(a.probe_samples, b.probe_samples)
         assert a.counts == b.counts
 
     def test_different_seeds_differ(self):
-        a = quiet_run(mm1_cfg(seed=5))
-        b = quiet_run(mm1_cfg(seed=6))
+        a = run(mm1_cfg(seed=5))
+        b = run(mm1_cfg(seed=6))
         assert not np.array_equal(a.batch_samples, b.batch_samples)
 
     def test_replication_as_coding_same_seed(self):
         # mds(1, d-1) and replication(d) are the same dispatch process
-        mds = quiet_run(SimConfig(
+        mds = run(SimConfig(
             params=SystemParams(lam=0.5, n=1, m=2, k=100), policy="mds",
             seed=9, horizon=10_000, warmup=1_000,
         ))
-        rep = quiet_run(SimConfig(
+        rep = run(SimConfig(
             params=SystemParams(lam=0.5, n=1, d=3, k=100), policy="replication",
             seed=9, horizon=10_000, warmup=1_000,
         ))
@@ -143,7 +139,7 @@ class TestRemovalAccounting:
             params=SystemParams(lam=0.5, n=3, m=3, k=60), policy="mds",
             seed=10, horizon=5_000, warmup=0, probe_rate=0.0, drain=True,
         )
-        res = quiet_run(cfg)
+        res = run(cfg)
         c = res.counts
         batches = c["batches_completed"]
         assert batches == c["batches_arrived"]
@@ -159,7 +155,7 @@ class TestRemovalAccounting:
             params=SystemParams(lam=0.4, n=2, d=3, k=60), policy="replication",
             seed=11, horizon=5_000, warmup=0, probe_rate=0.0, drain=True,
         )
-        res = quiet_run(cfg)
+        res = run(cfg)
         c = res.counts
         assert c["copies_created"] == 6 * c["batches_completed"]
         assert c["copies_served"] + c["copies_removed_queued"] + c[
@@ -174,7 +170,7 @@ class TestRemovalAccounting:
             seed=12, horizon=3_000, warmup=0, probe_rate=0.0,
             removal=False, drain=True,
         )
-        res = quiet_run(cfg)
+        res = run(cfg)
         c = res.counts
         assert c["copies_removed_queued"] == 0
         assert c["copies_preempted"] == 0
@@ -186,7 +182,7 @@ class TestAgainstClosedForm:
         params = SystemParams(lam=0.5, n=1, d=2, k=200)
         cfg = SimConfig(params=params, policy="replication", seed=3,
                         horizon=30_000, warmup=3_000, probe_rate=0.0)
-        res = quiet_run(cfg)
+        res = run(cfg)
         band = np.sqrt(np.log(2 / 0.01) / (2 * len(res.batch_samples)))
         dist = sup_distance(res.batch_samples, lambda t: rep_single_tail(params, t))
         assert dist <= band + 0.01
@@ -199,12 +195,10 @@ class TestAgainstClosedForm:
         sol = None
         for k, params in params_by_k.items():
             if sol is None:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    sol = solve_virtual_tail(MeanFieldProblem(params, t_max=12.0))
+                sol = solve_virtual_tail(MeanFieldProblem(params, t_max=12.0))
             cfg = SimConfig(params=params, policy="mds", seed=21,
                             horizon=30_000, warmup=3_000, probe_rate=0.0)
-            res = quiet_run(cfg)
+            res = run(cfg)
             dists[k] = sup_distance(
                 res.batch_samples, lambda t: sol.batch_tail.interp(t)
             )
