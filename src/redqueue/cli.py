@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .codec import SCHEMES, decode, encode
 from .meanfield import IntegrationError, MeanFieldProblem, solve_virtual_tail
-from .orderstats import mds_leading_term, order_stat_tail, rep_batch_tail
+from .orderstats import order_stat_tail, rep_batch_tail
 from .params import SystemParams
 from .sim import SimConfig, ecdf_tail, run
 
@@ -187,19 +187,13 @@ def _time_grid(t_max, points, flag="--t-max"):
 
 
 def cmd_analytic(args):
-    params = SystemParams(lam=args.lam, n=args.n, m=max(args.m), d=args.d, k=args.k)
+    # The replication tail is exact and independent of k.  No MDS column:
+    # with removal the per-queue tail is not M/M/1, and `meanfield` solves it.
+    params = SystemParams(lam=args.lam, n=args.n, d=args.d, k=max(args.n, args.d))
     grid = _time_grid(args.t_max, args.points)
-    # Generic per-queue sojourn tail for the heuristic curves: the
-    # no-redundancy M/M/1 stationary sojourn tail e^{-(1-lam)t}.
-    q = np.exp(-(1.0 - args.lam) * grid)
-    header = ["t", f"rep_d{args.d}"]
-    columns = {"t": list(grid), f"rep_d{args.d}": list(rep_batch_tail(params, grid))}
-    for m in args.m:
-        header += [f"mds_m{m}", f"mds_m{m}_leading"]
-        columns[f"mds_m{m}"] = list(order_stat_tail(args.n, m, q))
-        columns[f"mds_m{m}_leading"] = list(mds_leading_term(args.n, m, q))
-    write_table(args.out, header, columns)
-    print(f"wrote {args.out} ({len(grid)} rows, {len(header) - 1} curves)")
+    name = f"rep_d{args.d}"
+    write_table(args.out, ["t", name], {"t": list(grid), name: list(rep_batch_tail(params, grid))})
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return 0
 
 
@@ -516,12 +510,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"redqueue {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analytic", help="closed-form tail curves to CSV")
+    p = sub.add_parser("analytic", help="closed-form replication batch tail to CSV")
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--m", type=int, nargs="+", default=[3])
-    p.add_argument("--k", type=int, default=1000)
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=501)
     p.add_argument("--out", default="analytic.csv")

@@ -56,66 +56,48 @@ class GaloisField:
         out = self.exp[(q1 - self.log[a]) % q1]
         return out if out.ndim else int(out)
 
+    def _scale(self, row, log_factor):
+        """row * alpha**log_factor elementwise; zeros stay zero."""
+        out = np.zeros(row.shape, dtype=np.int64)
+        nz = row != 0
+        out[nz] = self.exp[(log_factor + self.log[row[nz]]) % (self.order - 1)]
+        return out
+
     def matmul(self, A, B):
         A = np.ascontiguousarray(A, dtype=np.int64)
         B = np.ascontiguousarray(B, dtype=np.int64)
-        return _gf_matmul(A, B, self.log, self.exp, self.order - 1)
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for i, t in zip(*np.nonzero(A)):
+            out[i] ^= self._scale(B[t], self.log[A[i, t]])
+        return out
 
     def solve(self, M, B):
-        """Solve M X = B; returns X or None if M is singular."""
-        M = np.ascontiguousarray(M, dtype=np.int64)
-        B = np.ascontiguousarray(B, dtype=np.int64)
-        ok, X = _gf_solve(M, B, self.log, self.exp, self.order - 1)
-        return X if ok else None
+        """Solve M X = B by Gauss-Jordan elimination; returns X or None if M is singular."""
+        M = np.array(M, dtype=np.int64)
+        X = np.array(B, dtype=np.int64)
+        q1 = self.order - 1
+        n = M.shape[0]
+        for col in range(n):
+            nzr = np.nonzero(M[col:, col])[0]
+            if nzr.size == 0:
+                return None
+            piv = col + int(nzr[0])
+            if piv != col:
+                M[[col, piv]] = M[[piv, col]]
+                X[[col, piv]] = X[[piv, col]]
+            linv = (q1 - self.log[M[col, col]]) % q1
+            M[col] = self._scale(M[col], linv)
+            X[col] = self._scale(X[col], linv)
+            for r in range(n):
+                f = M[r, col]
+                if r == col or f == 0:
+                    continue
+                M[r] ^= self._scale(M[col], self.log[f])
+                X[r] ^= self._scale(X[col], self.log[f])
+        return X
 
     def inv_matrix(self, M):
         """Inverse of a square matrix, or None if singular."""
         M = np.asarray(M, dtype=np.int64)
         return self.solve(M, np.eye(M.shape[0], dtype=np.int64))
 
-
-def _gf_matmul(A, B, logt, expt, q1):
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[0]):
-        for t in range(A.shape[1]):
-            a = A[i, t]
-            if a == 0:
-                continue
-            row = B[t]
-            nz = row != 0
-            prod = np.zeros(row.shape, dtype=np.int64)
-            prod[nz] = expt[(logt[a] + logt[row[nz]]) % q1]
-            out[i] ^= prod
-    return out
-
-
-def _gf_solve(M, B, logt, expt, q1):
-    n = M.shape[0]
-    M = M.copy()
-    B = B.copy()
-
-    def scaled(row, lf):
-        out = np.zeros_like(row)
-        nz = row != 0
-        out[nz] = expt[(lf + logt[row[nz]]) % q1]
-        return out
-
-    for col in range(n):
-        nzr = np.nonzero(M[col:, col])[0]
-        if nzr.size == 0:
-            return False, B
-        piv = col + int(nzr[0])
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            B[[col, piv]] = B[[piv, col]]
-        linv = (q1 - logt[M[col, col]]) % q1
-        M[col] = scaled(M[col], linv)
-        B[col] = scaled(B[col], linv)
-        for r in range(n):
-            f = M[r, col]
-            if r == col or f == 0:
-                continue
-            lf = logt[f]
-            M[r] ^= scaled(M[col], lf)
-            B[r] ^= scaled(B[col], lf)
-    return True, B

@@ -1,11 +1,13 @@
 """Seeded discrete-event simulation of redundancy dispatch with removal.
 
-k exponential servers with FIFO queues receive Poisson batch arrivals.
-Under mds(n, m) each batch places n+m coded copies on distinct servers and
-completes at the n-th copy completion; under replication(d) each of the n
-jobs places d copies on distinct servers and completes at its first copy
-completion.  On the trigger, sibling copies are removed instantly, both
-from queues and from service (the freed server starts its next copy).
+k exponential servers with FIFO queues receive Poisson batch arrivals.  A
+batch is `groups` groups of `size` copies, each group on distinct servers;
+a group completes at its `need`-th served copy, and the batch completes
+when its last group does.  mds(n, m) is one group of n+m copies that needs
+n; replication(d) is n groups of d copies that need one each, so
+replication(d) and mds(1, d-1) are the same process.  With removal on, a
+completing group removes its unserved copies instantly, both from queues
+and from service (the freed server starts its next copy).
 
 A ghost probe measures the virtual-job sojourn: at a probed batch arrival
 one random queue is tagged and the probe's sojourn is the time until
@@ -15,19 +17,28 @@ independent Exp(1) service.  The probe never occupies the server.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import SystemParams
 
-QUEUED, IN_SERVICE, DONE, REMOVED = 0, 1, 2, 3
+QUEUED, IN_SERVICE, GONE = 0, 1, 2
 
 POLICIES = ("mds", "replication")
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation cell.
+
+    `horizon` and `warmup` count batches, not time.  Batches arrive at
+    lam*k/n per unit time, so discarding W batches covers only W*n/(lam*k)
+    time units: the default 10,000 at k = 1000, n = 1, lam = 0.95 is ~10.5
+    time units, against a relaxation time of ~1/(1-lam) = 20.
+    """
+
     params: SystemParams
     policy: str
     seed: int
@@ -49,11 +60,6 @@ class SimConfig:
         if not 0.0 <= self.probe_rate <= 1.0:
             raise ValueError("probe_rate must lie in [0, 1]")
 
-    @property
-    def copies_per_batch(self) -> int:
-        p = self.params
-        return p.n + p.m if self.policy == "mds" else p.n * p.d
-
 
 @dataclass
 class SimResult:
@@ -64,26 +70,30 @@ class SimResult:
 
 
 class _Copy:
-    __slots__ = ("batch", "job", "state", "server", "watchers")
+    __slots__ = ("group", "state", "server", "watchers")
 
-    def __init__(self, batch, job):
-        self.batch = batch
-        self.job = job
+    def __init__(self, group, server):
+        self.group = group
         self.state = QUEUED
-        self.server = -1
+        self.server = server
         self.watchers = None
 
 
-class _Batch:
-    __slots__ = ("idx", "t_arrive", "copies", "completed", "job_done", "done", "monitored")
+class _Group:
+    __slots__ = ("batch", "copies", "served")
 
-    def __init__(self, idx, t_arrive, n_jobs, monitored):
-        self.idx = idx
-        self.t_arrive = t_arrive
+    def __init__(self, batch):
+        self.batch = batch
         self.copies = []
-        self.completed = 0
-        self.job_done = [False] * n_jobs
-        self.done = False
+        self.served = 0
+
+
+class _Batch:
+    __slots__ = ("t_arrive", "open_groups", "monitored")
+
+    def __init__(self, t_arrive, groups, monitored):
+        self.t_arrive = t_arrive
+        self.open_groups = groups
         self.monitored = monitored
 
 
@@ -97,14 +107,10 @@ class _Probe:
 
 
 def _sample_distinct(rng, k, size):
-    if size == 1:
-        return (int(rng.integers(k)),)
     out = []
-    seen = set()
     while len(out) < size:
         s = int(rng.integers(k))
-        if s not in seen:
-            seen.add(s)
+        if s not in out:
             out.append(s)
     return out
 
@@ -112,15 +118,14 @@ def _sample_distinct(rng, k, size):
 def run(config: SimConfig) -> SimResult:
     """Run one simulation; fully deterministic given config.seed."""
     p = config.params
-    n, m, d, k = p.n, p.m, p.d, p.k
-    mds = config.policy == "mds"
+    k = p.k
+    groups, size, need = (1, p.n + p.m, p.n) if config.policy == "mds" else (p.n, p.d, 1)
     rng = np.random.default_rng(config.seed)
-    batch_rate = p.lam * k / n
-    heap = []
+    batch_rate = p.lam * k / p.n
+    heap = []  # (time, seq, copy); copy None marks a batch arrival
     seq = 0
 
-    queues = [[] for _ in range(k)]  # per-server FIFO, removed copies skipped lazily
-    qhead = [0] * k  # pop index into queues[s]
+    queues = [deque() for _ in range(k)]  # per-server FIFO, removed copies skipped lazily
     in_service = [None] * k
 
     batch_done_samples = []
@@ -136,86 +141,60 @@ def run(config: SimConfig) -> SimResult:
     }
     monitored_open = 0
     probes_open = 0
-    n_monitored = config.horizon - config.warmup
 
-    def push(t, kind, payload):
+    def push(t, copy):
         nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
+        heapq.heappush(heap, (t, seq, copy))
         seq += 1
 
     def start_service(s, copy, t):
         copy.state = IN_SERVICE
         in_service[s] = copy
-        push(t + rng.exponential(), 1, (s, copy))
+        push(t + rng.exponential(), copy)
 
     def start_next(s, t):
         q = queues[s]
-        while qhead[s] < len(q):
-            c = q[qhead[s]]
-            qhead[s] += 1
+        while q:
+            c = q.popleft()
             if c.state == QUEUED:
-                if qhead[s] > 64:
-                    del q[: qhead[s]]
-                    qhead[s] = 0
                 start_service(s, c, t)
                 return
-        q.clear()
-        qhead[s] = 0
 
-    def notify_watchers(copy, t):
+    def leave(copy, t):
+        """Take a served or removed copy out: release its probes and its server."""
         nonlocal probes_open
-        if copy.watchers is None:
-            return
-        for probe in copy.watchers:
-            probe.remaining -= 1
-            if probe.remaining == 0:
-                probe_done_samples.append((t - probe.t_arrive) + probe.service)
-                probes_open -= 1
-        copy.watchers = None
+        serving = copy.state == IN_SERVICE
+        copy.state = GONE
+        if copy.watchers is not None:
+            for probe in copy.watchers:
+                probe.remaining -= 1
+                if probe.remaining == 0:
+                    probe_done_samples.append((t - probe.t_arrive) + probe.service)
+                    probes_open -= 1
+            copy.watchers = None
+        if serving:
+            in_service[copy.server] = None
+            start_next(copy.server, t)
 
-    def remove_copy(copy, t):
-        if copy.state == QUEUED:
-            copy.state = REMOVED
-            counts["copies_removed_queued"] += 1
-            notify_watchers(copy, t)
-        elif copy.state == IN_SERVICE:
-            copy.state = REMOVED
-            counts["copies_preempted"] += 1
-            s = copy.server
-            in_service[s] = None
-            notify_watchers(copy, t)
-            start_next(s, t)
-
-    def complete_batch(batch, t, monitored):
-        nonlocal monitored_open
-        batch.done = True
-        counts["batches_completed"] += 1
-        if monitored:
-            batch_done_samples.append(t - batch.t_arrive)
-            monitored_open -= 1
-
-    push(rng.exponential(1.0 / batch_rate), 0, None)
+    push(rng.exponential(1.0 / batch_rate), None)
     stop_arrivals = False
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, copy = heapq.heappop(heap)
 
-        if kind == 0:  # batch arrival
+        if copy is None:  # batch arrival
             idx = counts["batches_arrived"]
             counts["batches_arrived"] += 1
             monitored = config.warmup <= idx < config.horizon
-            batch = _Batch(idx, t, n, monitored)
+            batch = _Batch(t, groups, monitored)
             if monitored:
                 monitored_open += 1
                 if config.probe_rate > 0 and rng.random() < config.probe_rate:
                     s = int(rng.integers(k))
                     service = rng.exponential()
-                    ahead = []
+                    ahead = [c for c in queues[s] if c.state == QUEUED]
                     if in_service[s] is not None:
                         ahead.append(in_service[s])
-                    for c in queues[s][qhead[s] :]:
-                        if c.state == QUEUED:
-                            ahead.append(c)
                     counts["probes_injected"] += 1
                     if not ahead:
                         probe_done_samples.append(service)
@@ -226,55 +205,42 @@ def run(config: SimConfig) -> SimResult:
                             if c.watchers is None:
                                 c.watchers = []
                             c.watchers.append(probe)
-            if mds:
-                placements = [(-1, s) for s in _sample_distinct(rng, k, n + m)]
-            else:
-                placements = [
-                    (j, s) for j in range(n) for s in _sample_distinct(rng, k, d)
-                ]
-            for job, s in placements:
-                copy = _Copy(batch, job)
-                copy.server = s
-                batch.copies.append(copy)
-                counts["copies_created"] += 1
-                if in_service[s] is None:
-                    start_service(s, copy, t)
-                else:
-                    queues[s].append(copy)
+            # Draw every group's servers before any service time: the order
+            # of draws fixes each seed's output.
+            placements = [_sample_distinct(rng, k, size) for _ in range(groups)]
+            for servers in placements:
+                group = _Group(batch)
+                for s in servers:
+                    c = _Copy(group, s)
+                    group.copies.append(c)
+                    counts["copies_created"] += 1
+                    if in_service[s] is None:
+                        start_service(s, c, t)
+                    else:
+                        queues[s].append(c)
             if not stop_arrivals:
-                push(t + rng.exponential(1.0 / batch_rate), 0, None)
+                push(t + rng.exponential(1.0 / batch_rate), None)
 
-        else:  # service completion
-            s, copy = payload
-            if copy.state != IN_SERVICE or in_service[s] is not copy:
-                continue  # stale event for a removed copy
-            copy.state = DONE
+        elif copy.state == IN_SERVICE:  # service completion; else stale
             counts["copies_served"] += 1
-            in_service[s] = None
-            notify_watchers(copy, t)
-            start_next(s, t)
-            batch = copy.batch
-            if mds:
-                batch.completed += 1
-                if batch.completed == n and not batch.done:
-                    complete_batch(batch, t, batch.monitored)
-                    if config.removal:
-                        for c in batch.copies:
-                            if c.state in (QUEUED, IN_SERVICE):
-                                remove_copy(c, t)
-                        batch.copies = []
-            else:
-                j = copy.job
-                if not batch.job_done[j]:
-                    batch.job_done[j] = True
-                    if config.removal:
-                        for c in batch.copies:
-                            if c.job == j and c is not copy and c.state in (QUEUED, IN_SERVICE):
-                                remove_copy(c, t)
-                    if all(batch.job_done) and not batch.done:
-                        complete_batch(batch, t, batch.monitored)
-                        if config.removal:
-                            batch.copies = []
+            leave(copy, t)  # its server starts its next copy before any sibling leaves
+            group = copy.group
+            group.served += 1
+            if group.served == need:
+                if config.removal:
+                    for c in group.copies:
+                        if c.state != GONE:
+                            serving = c.state == IN_SERVICE
+                            counts["copies_preempted" if serving else "copies_removed_queued"] += 1
+                            leave(c, t)
+                group.copies = None  # no longer needed; frees the copy-group cycle
+                batch = group.batch
+                batch.open_groups -= 1
+                if batch.open_groups == 0:
+                    counts["batches_completed"] += 1
+                    if batch.monitored:
+                        batch_done_samples.append(t - batch.t_arrive)
+                        monitored_open -= 1
 
         if (
             counts["batches_arrived"] >= config.horizon

@@ -63,9 +63,10 @@ class TestAnalytic:
     def test_tail_one_at_zero(self, tmp_path):
         out = tmp_path / "a.csv"
         rc = main(["analytic", "--lam", "0.5", "--n", "1", "--d", "2",
-                   "--m", "1", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
-        _, cols = read_table(out)
+        header, cols = read_table(out)
+        assert header == ["t", "rep_d2"]
         assert cols["t"][0] == 0.0
         assert cols["rep_d2"][0] == 1.0
 
@@ -73,10 +74,10 @@ class TestAnalytic:
         out = tmp_path / "a.csv"
         t = math.log(3)
         rc = main(["analytic", "--lam", "0.5", "--n", "3", "--d", "3",
-                   "--m", "3", "--t-max", repr(t), "--points", "2",
-                   "--out", str(out)])
+                   "--t-max", repr(t), "--points", "2", "--out", str(out)])
         assert rc == 0
-        _, cols = read_table(out)
+        header, cols = read_table(out)
+        assert header == ["t", "rep_d3"]
         single = (1 / (0.5 + 0.5 * 9)) ** 1.5
         assert cols["rep_d3"][1] == pytest.approx(1 - (1 - single) ** 3, abs=1e-12)
 
