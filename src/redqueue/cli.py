@@ -139,7 +139,13 @@ def svg_chart(header, columns, title=""):
 
 
 # ---------------------------------------------------------------------------
-# config files and manifests
+# config files and figure files
+
+
+_CONFIG_KEYS = (
+    "lambda", "n", "m", "d", "k", "policy", "removal", "horizon", "warmup",
+    "probe_rate", "seeds", "out_dir", "t_max", "step",
+)
 
 
 def parse_config(path):
@@ -152,6 +158,8 @@ def parse_config(path):
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
         conf[key] = value
     return conf
 
@@ -165,36 +173,27 @@ def _conf_bool(value: str) -> bool:
     raise ValueError(f"expected on/off, got {value!r}")
 
 
-def write_manifest(path, entries):
-    lines = [
-        f"redqueue_version = {__version__}",
-        f"numpy_version = {np.__version__}",
-    ]
-    lines += [f"{k} = {v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_figure(out_dir, stem, header, columns, title, manifest):
+    """Write <stem>.csv, <stem>.svg and manifest.txt into out_dir; returns the CSV path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{stem}.csv"
+    write_table(csv_path, header, columns)
+    (out_dir / f"{stem}.svg").write_text(svg_chart(header, columns, title=title))
+    lines = [f"redqueue_version = {__version__}", f"numpy_version = {np.__version__}"]
+    lines += [f"{k} = {v}" for k, v in manifest.items()]
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return csv_path
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _time_grid(t_max, points, flag="--t-max"):
-    if t_max <= 0:
-        raise ValueError(f"{flag} must be positive")
-    if points < 2:
-        raise ValueError("--points must be >= 2")
-    return np.linspace(0.0, t_max, points)
-
-
-def cmd_analytic(args):
-    # The replication tail is exact and independent of k.  No MDS column:
-    # with removal the per-queue tail is not M/M/1, and `meanfield` solves it.
-    params = SystemParams(lam=args.lam, n=args.n, d=args.d, k=max(args.n, args.d))
-    grid = _time_grid(args.t_max, args.points)
-    name = f"rep_d{args.d}"
-    write_table(args.out, ["t", name], {"t": list(grid), name: list(rep_batch_tail(params, grid))})
-    print(f"wrote {args.out} ({len(grid)} rows)")
-    return 0
+def _require_positive(*flags):
+    for flag, value in flags:
+        if not value > 0:
+            raise ValueError(f"{flag} must be positive")
 
 
 def _solve_curves(lam, n, ms, t_max, step):
@@ -203,6 +202,39 @@ def _solve_curves(lam, n, ms, t_max, step):
         params = SystemParams(lam=lam, n=n, m=m, k=max(1000, n + m))
         solutions[m] = solve_virtual_tail(MeanFieldProblem(params, t_max=t_max, step=step))
     return solutions
+
+
+def _curve_table(grid, lam, n, d=None, ms=(), pooled=None, t_max=None, step=None):
+    """Header and columns of a tail table on grid.
+
+    Columns: t; rep_d<d> if d is given; mds_m<m> for each m, from the mean
+    field solved to t_max with step; sim_<policy>_lo/_mid/_hi, the ECDF tail
+    and its band, for each pooled sample set.
+    """
+    columns = {"t": list(grid)}
+    if d is not None:  # exact and independent of k
+        params = SystemParams(lam=lam, n=n, d=d, k=max(n, d))
+        columns[f"rep_d{d}"] = list(rep_batch_tail(params, grid))
+    for m, sol in _solve_curves(lam, n, ms, t_max, step).items():
+        columns[f"mds_m{m}"] = list(sol.batch_tail.interp(grid))
+    for policy, samples in (pooled or {}).items():
+        bands = [ecdf_tail(samples, t) for t in grid]
+        for suffix, index in (("lo", 1), ("mid", 0), ("hi", 2)):
+            columns[f"sim_{policy}_{suffix}"] = [band[index] for band in bands]
+    return list(columns), columns
+
+
+def cmd_analytic(args):
+    # No MDS column: with removal the per-queue tail is not M/M/1, and
+    # `meanfield` solves it.
+    _require_positive(("--t-max", args.t_max))
+    if args.points < 2:
+        raise ValueError("--points must be >= 2")
+    grid = np.linspace(0.0, args.t_max, args.points)
+    header, columns = _curve_table(grid, args.lam, args.n, args.d)
+    write_table(args.out, header, columns)
+    print(f"wrote {args.out} ({args.points} rows)")
+    return 0
 
 
 def cmd_meanfield(args):
@@ -263,37 +295,16 @@ def _read_samples(path):
     return batch, probe
 
 
-def _add_ecdf_band(header, columns, policy, samples, grid):
-    """Append sim_<policy>_lo/_mid/_hi: the ECDF tail and its band on grid."""
-    bands = [ecdf_tail(samples, t) for t in grid]
-    for suffix, index in (("lo", 1), ("mid", 0), ("hi", 2)):
-        name = f"sim_{policy}_{suffix}"
-        header.append(name)
-        columns[name] = [band[index] for band in bands]
-
-
 def _comparison_table(conf, params, policies, pooled):
-    """Theory curves plus pooled-simulation ECDF bands on a shared grid."""
+    """Theory curves plus the ECDF bands of policies with >= 100 pooled samples."""
     t_max = float(conf.get("t_max", 10.0))
-    step = float(conf.get("step", 1e-3))
-    grid = np.arange(0.0, t_max + 1e-12, 0.02)
-    header = ["t"]
-    columns = {"t": list(grid)}
-    if "replication" in policies:
-        name = f"rep_d{params.d}"
-        header.append(name)
-        columns[name] = list(rep_batch_tail(params, grid))
-    if "mds" in policies:
-        name = f"mds_m{params.m}"
-        sol = _solve_curves(params.lam, params.n, [params.m], t_max, step)[params.m]
-        header.append(name)
-        columns[name] = list(sol.batch_tail.interp(grid))
-    for policy in policies:
-        samples = pooled.get(policy)
-        if samples is None or len(samples) < 100:
-            continue
-        _add_ecdf_band(header, columns, policy, samples, grid)
-    return header, columns
+    return _curve_table(
+        np.arange(0.0, t_max + 1e-12, 0.02), params.lam, params.n,
+        d=params.d if "replication" in policies else None,
+        ms=(params.m,) if "mds" in policies else (),
+        pooled={p: pooled[p] for p in policies if len(pooled.get(p, ())) >= 100},
+        t_max=t_max, step=float(conf.get("step", 1e-3)),
+    )
 
 
 def cmd_simulate(args):
@@ -326,15 +337,9 @@ def cmd_simulate(args):
         )
     pooled = {p: np.concatenate(v) for p, v in pooled.items() if v}
     header, columns = _comparison_table(conf, params, [p for p in policies if p in pooled], pooled)
-    write_table(out_dir / "comparison.csv", header, columns)
-    (out_dir / "comparison.svg").write_text(
-        svg_chart(header, columns, title="theory vs simulation")
-    )
-    write_manifest(
-        out_dir / "manifest.txt",
-        {**conf, "cli_seed": args.seed, "out_dir": str(out_dir)},
-    )
-    print(f"wrote {out_dir / 'comparison.csv'}")
+    csv_path = _write_figure(out_dir, "comparison", header, columns, "theory vs simulation",
+                             {**conf, "cli_seed": args.seed, "out_dir": str(out_dir)})
+    print(f"wrote {csv_path}")
     return 2 if failures else 0
 
 
@@ -367,41 +372,23 @@ FIG1_MS = (2, 3, 4, 5, 6)
 
 
 def cmd_fig1(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _require_positive(
+        ("--t-max", args.t_max), ("--grid-step", args.grid_step), ("--step", args.step)
+    )
     grid = np.arange(0.0, args.t_max + 1e-12, args.grid_step)
-    params_rep = SystemParams(lam=args.lam, n=FIG1_N, d=FIG1_D, k=1000)
-    header = ["t", f"rep_d{FIG1_D}"]
-    columns = {"t": list(grid), f"rep_d{FIG1_D}": list(rep_batch_tail(params_rep, grid))}
-    solutions = _solve_curves(args.lam, FIG1_N, FIG1_MS, args.t_max, args.step)
-    for m in FIG1_MS:
-        header.append(f"mds_m{m}")
-        columns[f"mds_m{m}"] = list(solutions[m].batch_tail.interp(grid))
-    if args.simulate:
-        pooled = {}
-        for policy, params in (
-            ("replication", params_rep),
-            ("mds", SystemParams(lam=args.lam, n=FIG1_N, m=FIG1_D, k=1000)),
-        ):
-            result = run(
-                SimConfig(
-                    params=params,
-                    policy=policy,
-                    seed=args.seed,
-                    horizon=args.horizon,
-                    warmup=min(args.horizon // 10, 10_000),
-                    probe_rate=0.0,
-                )
-            )
-            pooled[policy] = result.batch_samples
-        for policy, samples in pooled.items():
-            _add_ecdf_band(header, columns, policy, samples, grid)
-    csv_path = out_dir / "fig1.csv"
-    write_table(csv_path, header, columns)
-    title = f"batch completion tails, n={FIG1_N}, lam={args.lam:g}"
-    (out_dir / "fig1.svg").write_text(svg_chart(header, columns, title=title))
-    write_manifest(
-        out_dir / "manifest.txt",
+    # The simulated cells are replication(d) and mds(n, d): n+d coded jobs.
+    params = SystemParams(lam=args.lam, n=FIG1_N, m=FIG1_D, d=FIG1_D, k=1000)
+    warmup = min(args.horizon // 10, 10_000)
+    pooled = {
+        policy: run(SimConfig(params=params, policy=policy, seed=args.seed,
+                              horizon=args.horizon, warmup=warmup, probe_rate=0.0)).batch_samples
+        for policy in ("replication", "mds") if args.simulate
+    }
+    header, columns = _curve_table(grid, args.lam, FIG1_N, FIG1_D, FIG1_MS, pooled,
+                                   t_max=args.t_max, step=args.step)
+    csv_path = _write_figure(
+        args.out_dir, "fig1", header, columns,
+        f"batch completion tails, n={FIG1_N}, lam={args.lam:g}",
         {
             "command": "fig1",
             "lambda": args.lam,
@@ -415,7 +402,7 @@ def cmd_fig1(args):
             "seed": args.seed,
         },
     )
-    print(f"wrote {csv_path} and {out_dir / 'fig1.svg'}")
+    print(f"wrote {csv_path} and {csv_path.with_suffix('.svg')}")
     return 0
 
 
@@ -471,12 +458,12 @@ def cmd_selftest(args):
 
     def fig1_shape():
         grid = np.arange(0.0, 10.0001, 0.05)
-        rep = rep_batch_tail(SystemParams(lam=0.5, n=3, d=3, k=1000), grid)
-        sols = _solve_curves(0.5, 3, [3, 4], 15.0, 1e-3)
-        diff3 = sols[3].batch_tail.interp(grid) - rep
+        _, cols = _curve_table(grid, 0.5, 3, 3, (3, 4), t_max=15.0, step=1e-3)
+        rep = np.array(cols["rep_d3"])
+        diff3 = np.array(cols["mds_m3"]) - rep
         signs = np.sign(diff3[np.abs(diff3) > 1e-12])
         assert np.any(np.diff(signs) != 0), "m=3 curve never crosses replication"
-        assert np.all(sols[4].batch_tail.interp(grid) <= rep + 1e-12)
+        assert np.all(np.array(cols["mds_m4"]) <= rep + 1e-12)
 
     def codec_roundtrip():
         from itertools import combinations

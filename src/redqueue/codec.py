@@ -30,14 +30,6 @@ class CodingMatrix:
     scheme: str
     field_order: int
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def total(self) -> int:
-        return self.rows.shape[0]
-
 
 @dataclass(frozen=True)
 class CodedJob:
@@ -70,7 +62,7 @@ def build_matrix(n: int, m: int, scheme: str, field_order: int = 256, seed: int 
         vand = np.ones((n + m, n), dtype=np.int64)
         for c in range(1, n):
             vand[:, c] = gf.mul(vand[:, c - 1], points)
-        top_inv = gf.inv_matrix(vand[:n])
+        top_inv = gf.solve(vand[:n], np.eye(n, dtype=np.int64))
         assert top_inv is not None  # Vandermonde block on distinct points
         rows = gf.matmul(vand, top_inv)
     else:

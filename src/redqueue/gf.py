@@ -96,8 +96,3 @@ class GaloisField:
                 X[r] ^= self._scale(X[col], self.log[f])
         return X
 
-    def inv_matrix(self, M):
-        """Inverse of a square matrix, or None if singular."""
-        M = np.asarray(M, dtype=np.int64)
-        return self.solve(M, np.eye(M.shape[0], dtype=np.int64))
-

@@ -12,7 +12,10 @@ and from service (the freed server starts its next copy).
 A ghost probe measures the virtual-job sojourn: at a probed batch arrival
 one random queue is tagged and the probe's sojourn is the time until
 everything currently in that queue has been served or removed, plus an
-independent Exp(1) service.  The probe never occupies the server.
+independent Exp(1) service.  The probe never occupies the server: it waits
+in the tagged FIFO behind those copies, and the server records its sojourn
+and skips it when it reaches the head, which is exactly when the last copy
+ahead of it has left.
 """
 
 import heapq
@@ -24,7 +27,7 @@ import numpy as np
 
 from .params import SystemParams
 
-QUEUED, IN_SERVICE, GONE = 0, 1, 2
+QUEUED, IN_SERVICE, GONE, PROBE = 0, 1, 2, 3
 
 POLICIES = ("mds", "replication")
 
@@ -70,13 +73,12 @@ class SimResult:
 
 
 class _Copy:
-    __slots__ = ("group", "state", "server", "watchers")
+    __slots__ = ("group", "state", "server")
 
     def __init__(self, group, server):
         self.group = group
         self.state = QUEUED
         self.server = server
-        self.watchers = None
 
 
 class _Group:
@@ -98,12 +100,12 @@ class _Batch:
 
 
 class _Probe:
-    __slots__ = ("t_arrive", "service", "remaining")
+    __slots__ = ("t_arrive", "service", "state")
 
-    def __init__(self, t_arrive, service, remaining):
+    def __init__(self, t_arrive, service):
         self.t_arrive = t_arrive
         self.service = service
-        self.remaining = remaining
+        self.state = PROBE
 
 
 def _sample_distinct(rng, k, size):
@@ -125,7 +127,7 @@ def run(config: SimConfig) -> SimResult:
     heap = []  # (time, seq, copy); copy None marks a batch arrival
     seq = 0
 
-    queues = [deque() for _ in range(k)]  # per-server FIFO, removed copies skipped lazily
+    queues = [deque() for _ in range(k)]  # copies and probes; gone copies skipped lazily
     in_service = [None] * k
 
     batch_done_samples = []
@@ -153,25 +155,21 @@ def run(config: SimConfig) -> SimResult:
         push(t + rng.exponential(), copy)
 
     def start_next(s, t):
+        nonlocal probes_open
         q = queues[s]
         while q:
             c = q.popleft()
             if c.state == QUEUED:
                 start_service(s, c, t)
                 return
+            if c.state == PROBE:  # everything ahead of the probe has left
+                probe_done_samples.append((t - c.t_arrive) + c.service)
+                probes_open -= 1
 
     def leave(copy, t):
-        """Take a served or removed copy out: release its probes and its server."""
-        nonlocal probes_open
+        """Take a served or removed copy out; a freed server starts its next copy."""
         serving = copy.state == IN_SERVICE
         copy.state = GONE
-        if copy.watchers is not None:
-            for probe in copy.watchers:
-                probe.remaining -= 1
-                if probe.remaining == 0:
-                    probe_done_samples.append((t - probe.t_arrive) + probe.service)
-                    probes_open -= 1
-            copy.watchers = None
         if serving:
             in_service[copy.server] = None
             start_next(copy.server, t)
@@ -192,19 +190,12 @@ def run(config: SimConfig) -> SimResult:
                 if config.probe_rate > 0 and rng.random() < config.probe_rate:
                     s = int(rng.integers(k))
                     service = rng.exponential()
-                    ahead = [c for c in queues[s] if c.state == QUEUED]
-                    if in_service[s] is not None:
-                        ahead.append(in_service[s])
                     counts["probes_injected"] += 1
-                    if not ahead:
+                    if in_service[s] is None:  # an idle server has an empty queue
                         probe_done_samples.append(service)
                     else:
-                        probe = _Probe(t, service, len(ahead))
+                        queues[s].append(_Probe(t, service))
                         probes_open += 1
-                        for c in ahead:
-                            if c.watchers is None:
-                                c.watchers = []
-                            c.watchers.append(probe)
             # Draw every group's servers before any service time: the order
             # of draws fixes each seed's output.
             placements = [_sample_distinct(rng, k, size) for _ in range(groups)]

@@ -199,6 +199,19 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--config", str(config_path)])
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_unknown_config_key_rejected(self, config_path, tmp_path, capsys, command):
+        config_path.write_text(config_path.read_text().replace("horizon =", "horizn ="))
+        argv = {
+            "simulate": ["simulate", "--config", str(config_path), "--seed", "7"],
+            "compare": ["compare", "--config", str(config_path), "--dir", str(tmp_path),
+                        "--out", str(tmp_path / "rebuilt.csv")],
+        }[command]
+        assert main(argv) == 1
+        assert "horizn" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "rebuilt.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def fig1_dir(tmp_path_factory):
@@ -237,6 +250,29 @@ class TestFig1:
         text = (fig1_dir / "manifest.txt").read_text()
         assert "lambda = 0.5" in text
         assert "redqueue_version" in text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-step", "0"), ("--grid-step", "-0.1"), ("--t-max", "-1"), ("--step", "0"),
+    ])
+    def test_malformed_grid_names_flag(self, tmp_path, capsys, flag, value):
+        rc = main(["fig1", "--out-dir", str(tmp_path), flag, value])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "fig1.csv").exists()
+
+    def test_simulate_overlays_bands(self, fig1_dir, tmp_path):
+        rc = main(["fig1", "--out-dir", str(tmp_path), "--grid-step", "0.05",
+                   "--simulate", "--horizon", "2000"])
+        assert rc == 0
+        header, cols = read_table(tmp_path / "fig1.csv")
+        theory = ["t", "rep_d3"] + [f"mds_m{m}" for m in (2, 3, 4, 5, 6)]
+        bands = [f"sim_{p}_{s}" for p in ("replication", "mds") for s in ("lo", "mid", "hi")]
+        assert header == theory + bands
+        for policy in ("replication", "mds"):
+            lo, mid, hi = (np.array(cols[f"sim_{policy}_{s}"]) for s in ("lo", "mid", "hi"))
+            assert np.all(lo <= mid) and np.all(mid <= hi)
+        _, plain = read_table(fig1_dir / "fig1.csv")
+        assert {name: cols[name] for name in theory} == plain
 
 
 class TestCodecDemo:

@@ -141,24 +141,28 @@ class TestPinnedStream:
     pins and logs the change in CHANGES.md.
     """
 
-    @pytest.mark.parametrize("policy, params, counts, samples", [
+    @pytest.mark.parametrize("policy, params, counts, samples, probes", [
         ("replication", SystemParams(lam=0.6, n=2, d=3, k=50),
          dict(batches_arrived=3014, batches_completed=3004, copies_created=18084,
               copies_served=6013, copies_removed_queued=4168, copies_preempted=7858,
               probes_injected=527),
-         (0.010197245376446062, 0.7066259642049033, 3.0411051696803355)),
+         (0.010197245376446062, 0.7066259642049033, 3.0411051696803355),
+         (0.003064668305649109, 1.037400886497391, 6.257736766900664)),
         ("mds", SystemParams(lam=0.6, n=3, m=2, k=50),
          dict(batches_arrived=3027, batches_completed=3004, copies_created=15135,
               copies_served=9033, copies_removed_queued=1523, copies_preempted=4485,
               probes_injected=522),
-         (0.07739057715855324, 1.2911860763932168, 4.532886935021992)),
+         (0.07739057715855324, 1.2911860763932168, 4.532886935021992),
+         (0.0015313767686242026, 1.3726047960417307, 6.7847836417283)),
     ], ids=["replication", "mds"])
-    def test_fixed_seed_output(self, policy, params, counts, samples):
+    def test_fixed_seed_output(self, policy, params, counts, samples, probes):
         res = run(SimConfig(params=params, policy=policy, seed=2024,
                             horizon=3_000, warmup=300, probe_rate=0.2))
-        s = res.batch_samples
+        s, p = res.batch_samples, res.probe_samples
         assert res.counts == counts
         assert (s[0], s[len(s) // 2], s[-1]) == samples
+        assert len(p) == counts["probes_injected"]
+        assert (p[0], p[len(p) // 2], p[-1]) == probes
 
 
 class TestRemovalAccounting:
