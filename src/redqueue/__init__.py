@@ -13,7 +13,6 @@ from .meanfield import (
 from .orderstats import (
     mds_leading_term,
     order_stat_tail,
-    order_stat_tail_alternating,
     rep_batch_tail,
     rep_heuristic_tail,
     rep_single_tail,
@@ -41,7 +40,6 @@ __all__ = [
     "mds_leading_term",
     "ode_rhs",
     "order_stat_tail",
-    "order_stat_tail_alternating",
     "rep_batch_tail",
     "rep_heuristic_tail",
     "rep_single_tail",

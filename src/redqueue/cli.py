@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: analytic, meanfield, simulate, compare, fig1, codec-demo,
-selftest.  All tabular output is CSV (first column t, then one column per
-curve); charts are self-rendered SVG so the CSV stays the canonical
-artifact.  Exit codes: 0 success, 1 validation failure, 2 runtime or
-integration failure, 3 self-test failure.
+Subcommands: analytic, meanfield, simulate, compare, fig1, codec-demo.
+All tabular output is CSV (first column t, then one column per curve);
+charts are self-rendered SVG so the CSV stays the canonical artifact.
+Exit codes: 0 success, 1 validation failure, 2 runtime or integration
+failure.  The self-check is the acceptance gate, `pytest
+tests/test_acceptance.py -s`.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import numpy as np
 from . import __version__
 from .codec import SCHEMES, decode, encode
 from .meanfield import IntegrationError, MeanFieldProblem, solve_virtual_tail
-from .orderstats import order_stat_tail, rep_batch_tail
+from .orderstats import rep_batch_tail
 from .params import SystemParams
 from .sim import SimConfig, ecdf_tail, run
 
@@ -149,7 +150,7 @@ _CONFIG_KEYS = (
 
 
 def parse_config(path):
-    """Flat key-value config: one `key = value` per line, # comments."""
+    """Flat key-value config: one `key = value` per line, # comments; no key twice."""
     conf = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -160,8 +161,19 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+        if key in conf:
+            raise ValueError(f"config key {key!r} is set twice")
         conf[key] = value
     return conf
+
+
+def _conf_list(conf, key, cast=str, default=None):
+    """Comma-separated entries of conf[key]; an entry listed twice is an error."""
+    value = conf.get(key, default)
+    items = [cast(part.strip()) for part in value.split(",")]
+    if len(set(items)) < len(items):
+        raise ValueError(f"config key {key!r} lists an entry twice: {value!r}")
+    return items
 
 
 def _conf_bool(value: str) -> bool:
@@ -218,9 +230,9 @@ def _curve_table(grid, lam, n, d=None, ms=(), pooled=None, t_max=None, step=None
     for m, sol in _solve_curves(lam, n, ms, t_max, step).items():
         columns[f"mds_m{m}"] = list(sol.batch_tail.interp(grid))
     for policy, samples in (pooled or {}).items():
-        bands = [ecdf_tail(samples, t) for t in grid]
-        for suffix, index in (("lo", 1), ("mid", 0), ("hi", 2)):
-            columns[f"sim_{policy}_{suffix}"] = [band[index] for band in bands]
+        mid, lo, hi = ecdf_tail(samples, grid)
+        for suffix, band in (("lo", lo), ("mid", mid), ("hi", hi)):
+            columns[f"sim_{policy}_{suffix}"] = list(band)
     return list(columns), columns
 
 
@@ -260,7 +272,7 @@ def _sim_cells(conf, seeds):
         d=int(conf.get("d", 1)),
         k=int(conf.get("k", 1000)),
     )
-    policies = [p.strip() for p in conf.get("policy", "mds").split(",")]
+    policies = _conf_list(conf, "policy", default="mds")
     cells = []
     for policy in policies:
         for seed in seeds:
@@ -309,14 +321,10 @@ def _comparison_table(conf, params, policies, pooled):
 
 def cmd_simulate(args):
     conf = parse_config(args.config)
+    seeds = _conf_list(conf, "seeds", int, default=str(args.seed))
+    params, policies, cells = _sim_cells(conf, seeds)
     out_dir = Path(args.out_dir or conf.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = (
-        [int(s) for s in conf["seeds"].split(",")]
-        if "seeds" in conf
-        else [args.seed]
-    )
-    params, policies, cells = _sim_cells(conf, seeds)
 
     failures = 0
     pooled = {policy: [] for policy in policies}
@@ -348,7 +356,7 @@ def cmd_compare(args):
     out_dir = Path(args.dir)
     if "seeds" not in conf:
         raise ValueError("compare reads the seeds the config lists; add a `seeds` line")
-    seeds = [int(s) for s in conf["seeds"].split(",")]
+    seeds = _conf_list(conf, "seeds", int)
     params, policies, _ = _sim_cells(conf, seeds)
     pooled = {}
     for policy in policies:
@@ -424,67 +432,6 @@ def cmd_codec_demo(args):
     return 0 if ok else 2
 
 
-def cmd_selftest(args):
-    del args
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            checks.append((name, False, str(exc)))
-
-    def orderstats_identity():
-        from .orderstats import order_stat_tail_alternating
-
-        for total in range(1, 26):
-            for n in range(1, total + 1):
-                m = total - n
-                assert abs(order_stat_tail(n, m, 1.0) - 1.0) < 1e-12
-                for q in (0.1, 0.5, 0.9):
-                    a = order_stat_tail(n, m, q)
-                    b = order_stat_tail_alternating(n, m, q)
-                    assert abs(a - b) < 1e-10, (n, m, q, a, b)
-
-    def ode_closed_form():
-        lam, d = 0.5, 2
-        sol = solve_virtual_tail(
-            MeanFieldProblem(SystemParams(lam=lam, n=1, m=d - 1, k=10), t_max=15, step=1e-3)
-        )
-        t = sol.virtual_tail.times
-        closed = (lam + (1 - lam) * np.exp(t * (d - 1))) ** (-1.0 / (d - 1))
-        assert np.max(np.abs(sol.virtual_tail.values - closed)) <= 1e-6
-
-    def fig1_shape():
-        grid = np.arange(0.0, 10.0001, 0.05)
-        _, cols = _curve_table(grid, 0.5, 3, 3, (3, 4), t_max=15.0, step=1e-3)
-        rep = np.array(cols["rep_d3"])
-        diff3 = np.array(cols["mds_m3"]) - rep
-        signs = np.sign(diff3[np.abs(diff3) > 1e-12])
-        assert np.any(np.diff(signs) != 0), "m=3 curve never crosses replication"
-        assert np.all(np.array(cols["mds_m4"]) <= rep + 1e-12)
-
-    def codec_roundtrip():
-        from itertools import combinations
-
-        jobs = [bytes(range(i, i + 8)) for i in range(3)]
-        coded = encode(jobs, 2)
-        for sub in combinations(range(5), 3):
-            assert decode([coded[i] for i in sub]) == jobs
-
-    check("order-statistics identity & form agreement", orderstats_identity)
-    check("ODE matches replication closed form", ode_closed_form)
-    check("fig1 crossing and dominance", fig1_shape)
-    check("codec any-n-of-(n+m) round trip", codec_roundtrip)
-
-    failed = 0
-    for name, ok, msg in checks:
-        print(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({msg})" if msg else ""))
-        failed += not ok
-    return 3 if failed else 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -549,9 +496,6 @@ def build_parser():
     p.add_argument("--size", type=int, default=64, help="payload bytes")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_codec_demo)
-
-    p = sub.add_parser("selftest", help="quick acceptance-style checks")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

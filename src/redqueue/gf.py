@@ -48,14 +48,6 @@ class GaloisField:
         out = np.where(nz, self.exp[(self.log[a] + self.log[b]) % q1], 0)
         return out if out.ndim else int(out)
 
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("0 has no inverse")
-        q1 = self.order - 1
-        out = self.exp[(q1 - self.log[a]) % q1]
-        return out if out.ndim else int(out)
-
     def _scale(self, row, log_factor):
         """row * alpha**log_factor elementwise; zeros stay zero."""
         out = np.zeros(row.shape, dtype=np.int64)

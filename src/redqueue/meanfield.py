@@ -11,8 +11,8 @@ order_stat_tail(n, m, q) (and I_q(0, n) = 1), so the drift reuses that
 all-positive binomial-tail kernel.  Differentiating the bracket recovers
 I_q(m, n), whose double integral is exactly the alternating sum in the
 textbook drift, so the two forms agree analytically; only this one is
-stable for moderate n.  The alternating form is kept as a cross-check
-oracle.
+stable for moderate n.  The alternating form lives on as a test oracle in
+tests/oracles.py.
 
 The bracket is the integral of I_u(m, n) over [0, q], so f is convex with
 f(0) = 0 and f(1) = lam - 1.  For lam < 1 this makes f < 0 on (0, 1]: q
@@ -24,11 +24,10 @@ which the solver evaluates by quadrature rather than by time stepping.
 """
 
 from dataclasses import dataclass
-from math import comb, fsum
 
 import numpy as np
 
-from .orderstats import MAX_TOTAL, order_stat_tail
+from .orderstats import order_stat_tail
 from .params import SystemParams, TailCurve
 
 # Simpson intervals over the log-tail range s = log q in [-(t_max + 10), 0].
@@ -50,8 +49,6 @@ class MeanFieldProblem:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.params.n + self.params.m > MAX_TOTAL:
-            raise ValueError(f"n+m must be <= {MAX_TOTAL}")
         if self.t_max < self.step:
             raise ValueError(
                 f"t_max must be >= step so the grid has two points, got {self.t_max}"
@@ -77,21 +74,6 @@ def ode_rhs(problem: MeanFieldProblem, q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     return float(_drift(problem.params, q))
-
-
-def ode_rhs_alternating(problem: MeanFieldProblem, q: float) -> float:
-    """Verbatim alternating-sum drift (test oracle only; needs m >= 1)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    n, m = problem.params.n, problem.params.m
-    if m < 1:
-        raise ValueError("alternating drift form requires m >= 1")
-    pref = problem.params.alpha * (n + m - 1) * comb(n + m - 2, n - 1)
-    terms = [
-        comb(n - 1, i) * (-1) ** i * q ** (m + i + 1) / ((m + i) * (m + i + 1))
-        for i in range(n)
-    ]
-    return -q + pref * fsum(terms)
 
 
 def solve_virtual_tail(problem: MeanFieldProblem) -> VirtualTailSolution:

@@ -6,19 +6,22 @@ through the binomial-tail form
     P(order stat > t) = sum_{j=0}^{n-1} C(n+m, j) (1-q)^j q^(n+m-j),
 
 which is free of the catastrophic cancellation that plagues the textbook
-alternating sum for moderate n.  The alternating sum is kept, evaluated
-exactly, purely as a cross-check oracle.
+alternating sum for moderate n.  The alternating sum lives on, evaluated
+exactly, as a test oracle in tests/oracles.py.
 """
 
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from .params import SystemParams
 
-# Alternating-sum coefficients lose all 64-bit precision well before this,
-# and C(30, 15) is still exactly representable in a double.
-MAX_TOTAL = 30
+# C(n+m, j) stays finite in a double up to n+m = 1029, and the all-positive
+# sum has no cancellation: at n+m = 1000 it matches exact rational sums to
+# ~4e-14 relative.  A term whose q-power factor underflows is lost; at
+# n+m = 1000 such terms are below 1e-62, so only tails that small can lose
+# their relative accuracy.
+MAX_TOTAL = 1000
 
 
 def _check_prob(q, name="q"):
@@ -60,44 +63,6 @@ def order_stat_tail(n, m, q):
     scalar = arr.ndim == 0
     coefs = np.array([comb(n + m, j) for j in range(n)], dtype=float)
     out = _binom_lower_tail(np.atleast_1d(arr), coefs, n + m)
-    return float(out[0]) if scalar else out
-
-
-def order_stat_tail_alternating(n, m, q):
-    """Verbatim alternating-sum order-statistic tail (test oracle only).
-
-    The alternating sum cancels catastrophically in floats for moderate n
-    (even with compensated summation), so each evaluation runs in exact
-    integer arithmetic on the binary rational q and is rounded once at the
-    end.  Exists solely to check the stable binomial-tail path against the
-    literal formula.
-    """
-    _check_counts(n, m)
-    arr = _check_prob(q)
-    scalar = arr.ndim == 0
-    pref = (n + m) * comb(n + m - 1, n - 1)
-    denom_lcm = lcm(*range(m + 1, m + n + 1))
-    # signed integer coefficient of q^(m+i+1) after clearing denominators
-    coefs = [
-        (-1 if i & 1 else 1) * comb(n - 1, i) * (denom_lcm // (m + i + 1))
-        for i in range(n)
-    ]
-
-    def one(qv):
-        if qv == 0.0:
-            return 0.0
-        num, den = float(qv).as_integer_ratio()
-        # q^(m+1) * sum_i coefs[i] q^i, with q = num/den, is
-        # num^(m+1) * h / den^(m+n) for the homogeneous Horner sum
-        # h = sum_i coefs[i] num^i den^(n-1-i)
-        h, den_pow = coefs[-1], 1
-        for c in reversed(coefs[:-1]):
-            den_pow *= den
-            h = h * num + c * den_pow
-        # int/int division is correctly rounded for arbitrary precision
-        return (pref * h * num ** (m + 1)) / (denom_lcm * den_pow * den ** (m + 1))
-
-    out = np.array([one(qv) for qv in np.atleast_1d(arr)])
     return float(out[0]) if scalar else out
 
 

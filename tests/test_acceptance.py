@@ -20,7 +20,6 @@ from redqueue import (
     decode,
     encode,
     order_stat_tail,
-    order_stat_tail_alternating,
     rep_batch_tail,
     run,
     solve_virtual_tail,
@@ -28,6 +27,8 @@ from redqueue import (
     tail_exponent,
 )
 from redqueue.gf import GaloisField
+
+from oracles import order_stat_tail_alternating
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -167,7 +167,7 @@ class TestSimulate:
 
     def test_compare_missing_listed_seed(self, config_path, tmp_path, capsys):
         main(["simulate", "--config", str(config_path), "--seed", "7"])
-        config_path.write_text(config_path.read_text() + "seeds = 7, 8\n")
+        config_path.write_text(config_path.read_text().replace("seeds = 7\n", "seeds = 7, 8\n"))
         rc = main(["compare", "--config", str(config_path), "--dir",
                    str(tmp_path / "out"), "--out", str(tmp_path / "rebuilt.csv")])
         assert rc == 2
@@ -199,16 +199,27 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--config", str(config_path)])
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_unknown_config_key_rejected(self, config_path, tmp_path, capsys, command):
-        config_path.write_text(config_path.read_text().replace("horizon =", "horizn ="))
+    @pytest.mark.parametrize("command, old, new, name", [
+        pytest.param(command, old, new, name, id=command + case)
+        for case, old, new, name in (
+            ("", "horizon =", "horizn =", "horizn"),
+            ("-repeated-key", "horizon = 8000\n", "horizon = 8000\nhorizon = 2000\n", "horizon"),
+            ("-repeated-seed", "seeds = 7\n", "seeds = 7, 7\n", "seeds"),
+            ("-repeated-policy", "policy = mds\n", "policy = mds, mds\n", "policy"),
+        )
+        for command in ("simulate", "compare")
+    ])
+    def test_unknown_config_key_rejected(self, config_path, tmp_path, capsys, command, old,
+                                         new, name):
+        assert old in config_path.read_text()
+        config_path.write_text(config_path.read_text().replace(old, new))
         argv = {
             "simulate": ["simulate", "--config", str(config_path), "--seed", "7"],
             "compare": ["compare", "--config", str(config_path), "--dir", str(tmp_path),
                         "--out", str(tmp_path / "rebuilt.csv")],
         }[command]
         assert main(argv) == 1
-        assert "horizn" in capsys.readouterr().err
+        assert name in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "rebuilt.csv").exists()
 
@@ -285,5 +296,8 @@ class TestCodecDemo:
                      "--field", "65536", "--scheme", "random-linear"]) == 0
 
 
-def test_selftest_passes():
-    assert main(["selftest"]) == 0
+def test_removed_selftest_subcommand_refused():
+    # the acceptance gate, pytest tests/test_acceptance.py -s, is the self-check
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2

@@ -15,7 +15,9 @@ from redqueue import (
     solve_virtual_tail,
     tail_exponent,
 )
-from redqueue.meanfield import ode_rhs_alternating
+from redqueue.orderstats import MAX_TOTAL
+
+from oracles import ode_rhs_alternating
 
 
 def problem(lam, n, m, t_max=15.0, step=1e-3):
@@ -23,7 +25,8 @@ def problem(lam, n, m, t_max=15.0, step=1e-3):
 
 
 def replication_closed_form(lam, d, t):
-    return (lam + (1 - lam) * np.exp(t * (d - 1))) ** (-1.0 / (d - 1))
+    # (lam + (1 - lam) e^{t (d-1)})^{-1/(d-1)} in log space: e^{t (d-1)} overflows for large d
+    return np.exp(-np.logaddexp(np.log(lam), np.log1p(-lam) + t * (d - 1)) / (d - 1))
 
 
 class TestDrift:
@@ -70,7 +73,9 @@ class TestSolve:
         assert sol.virtual_tail.values[0] == 1.0
         assert sol.batch_tail.values[0] == 1.0
 
-    @pytest.mark.parametrize("d,lam", [(2, 0.5), (3, 0.7), (4, 0.3)])
+    @pytest.mark.parametrize(
+        "d,lam", [(2, 0.5), (3, 0.7), (4, 0.3), (MAX_TOTAL, 0.5), (MAX_TOTAL, 0.9)]
+    )
     def test_replication_closed_form(self, d, lam):
         sol = solve_virtual_tail(problem(lam, 1, d - 1))
         t = sol.virtual_tail.times
@@ -212,5 +217,7 @@ class TestProblemValidation:
         assert solve_virtual_tail(prob).virtual_tail.times.size == 1001
 
     def test_total_capped(self):
-        with pytest.raises(ValueError):
-            MeanFieldProblem(SystemParams(lam=0.5, n=20, m=15, k=100))
+        # the kernel holds the only n+m check, and every solve evaluates it
+        prob = MeanFieldProblem(SystemParams(lam=0.5, n=1, m=MAX_TOTAL, k=MAX_TOTAL + 1))
+        with pytest.raises(ValueError, match=r"n\+m"):
+            solve_virtual_tail(prob)

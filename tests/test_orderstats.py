@@ -11,11 +11,14 @@ from redqueue import (
     SystemParams,
     mds_leading_term,
     order_stat_tail,
-    order_stat_tail_alternating,
     rep_batch_tail,
     rep_heuristic_tail,
     rep_single_tail,
 )
+
+from redqueue.orderstats import MAX_TOTAL
+
+from oracles import order_stat_tail_alternating
 
 
 def binom_tail_oracle(n, m, q):
@@ -138,7 +141,14 @@ class TestOrderStatTail:
         with pytest.raises(ValueError):
             order_stat_tail(0, 1, 0.5)
         with pytest.raises(ValueError):
-            order_stat_tail(20, 15, 0.5)  # n+m > 30
+            order_stat_tail(1, MAX_TOTAL, 0.5)  # n+m = MAX_TOTAL + 1
+
+    @pytest.mark.parametrize("n, q", [
+        (2, 0.9375), (10, 0.75), (500, 0.5), (600, 0.375), (990, 2**-10), (MAX_TOTAL, 2**-10),
+    ])
+    def test_exact_at_cap(self, n, q):
+        exact = float(binom_tail_oracle(n, MAX_TOTAL - n, Fraction(q)))
+        assert order_stat_tail(n, MAX_TOTAL - n, q) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestAlternatingForm:

@@ -261,3 +261,14 @@ class TestEcdfTail:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="100"):
             ecdf_tail(np.ones(50), 0.5)
+
+    def test_grid_call_matches_pointwise_calls(self):
+        # pooled like `simulate`: three runs back to back, so not sorted
+        rng = np.random.default_rng(3)
+        pooled = np.concatenate([rng.exponential(size=size) for size in (700, 1500, 300)])
+        grid = np.sort(np.concatenate([np.linspace(0.0, 6.0, 61), pooled[::97]]))
+        bands = ecdf_tail(pooled, grid)
+        for i, t in enumerate(grid):
+            point = ecdf_tail(pooled, t)
+            assert point[0] == np.mean(pooled > t)
+            assert tuple(band[i] for band in bands) == point
