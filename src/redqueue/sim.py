@@ -9,6 +9,19 @@ replication(d) and mds(1, d-1) are the same process.  With removal on, a
 completing group removes its unserved copies instantly, both from queues
 and from service (the freed server starts its next copy).
 
+Service is Exp(1) and memoryless, so the loop draws the next event
+directly instead of keeping an event heap (Grassmann, Comput. & OR 1977):
+with b servers busy, the next event comes after Exp(batch_rate + b); it is
+an arrival with probability batch_rate / (batch_rate + b), and otherwise
+the service completion of a busy server chosen uniformly.  A preempted
+copy therefore leaves no pending event behind: its server starts its next
+copy at once, or leaves the busy list by an O(1) swap-remove when it has
+none.  Removed queued copies are skipped lazily when they reach the head
+of their FIFO.  Exponentials and uniforms are drawn
+from the seeded generator in blocks of `BLOCK` and consumed one by one;
+each group's servers are a uniform distinct subset drawn by Floyd's
+algorithm (Bentley & Floyd, CACM 1987).
+
 A ghost probe measures the virtual-job sojourn: at a probed batch arrival
 one random queue is tagged and the probe's sojourn is the time until
 everything currently in that queue has been served or removed, plus an
@@ -16,9 +29,15 @@ independent Exp(1) service.  The probe never occupies the server: it waits
 in the tagged FIFO behind those copies, and the server records its sojourn
 and skips it when it reaches the head, which is exactly when the last copy
 ahead of it has left.
+
+`counts["busy_time"]` is the integral of the number of busy servers over
+the monitored window, which runs from the first monitored arrival until
+arrivals stop, and `counts["monitored_time"]` is that window's length.
+Each batch has exactly n served copies and the completion rate is the
+number of busy servers, so busy_time / (k * monitored_time) estimates lam
+for every policy: removal does not overburden the servers.
 """
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,9 +46,9 @@ import numpy as np
 
 from .params import SystemParams
 
-QUEUED, IN_SERVICE, GONE, PROBE = 0, 1, 2, 3
-
 POLICIES = ("mds", "replication")
+
+BLOCK = 4096  # random variates drawn per numpy call
 
 
 @dataclass(frozen=True)
@@ -72,24 +91,6 @@ class SimResult:
     config: SimConfig
 
 
-class _Copy:
-    __slots__ = ("group", "state", "server")
-
-    def __init__(self, group, server):
-        self.group = group
-        self.state = QUEUED
-        self.server = server
-
-
-class _Group:
-    __slots__ = ("batch", "copies", "served")
-
-    def __init__(self, batch):
-        self.batch = batch
-        self.copies = []
-        self.served = 0
-
-
 class _Batch:
     __slots__ = ("t_arrive", "open_groups", "monitored")
 
@@ -99,22 +100,30 @@ class _Batch:
         self.monitored = monitored
 
 
+class _Group:
+    """A queue entry stands for the group's copy on that queue's server."""
+
+    __slots__ = ("batch", "unserved", "served", "live")
+
+    def __init__(self, batch, servers):
+        self.batch = batch
+        self.unserved = servers  # servers whose copy is queued or in service
+        self.served = 0
+        self.live = True  # False once removal has taken the unserved copies
+
+
 class _Probe:
-    __slots__ = ("t_arrive", "service", "state")
+    __slots__ = ("t_arrive", "service")
 
     def __init__(self, t_arrive, service):
         self.t_arrive = t_arrive
         self.service = service
-        self.state = PROBE
 
 
-def _sample_distinct(rng, k, size):
-    out = []
-    while len(out) < size:
-        s = int(rng.integers(k))
-        if s not in out:
-            out.append(s)
-    return out
+def _stream(draw):
+    """Endless iterator over draw(BLOCK), one numpy call per block."""
+    while True:
+        yield from draw(BLOCK).tolist()
 
 
 def run(config: SimConfig) -> SimResult:
@@ -122,130 +131,133 @@ def run(config: SimConfig) -> SimResult:
     p = config.params
     k = p.k
     groups, size, need = (1, p.n + p.m, p.n) if config.policy == "mds" else (p.n, p.d, 1)
+    removal = config.removal
+    warmup, horizon, probe_rate = config.warmup, config.horizon, config.probe_rate
     rng = np.random.default_rng(config.seed)
+    expo = _stream(rng.standard_exponential).__next__
+    unif = _stream(rng.random).__next__
     batch_rate = p.lam * k / p.n
-    heap = []  # (time, seq, copy); copy None marks a batch arrival
-    seq = 0
+    floyd = range(k - size, k)
 
-    queues = [deque() for _ in range(k)]  # copies and probes; gone copies skipped lazily
-    in_service = [None] * k
+    queues = [deque() for _ in range(k)]  # groups and probes; dead groups skipped lazily
+    in_service = [None] * k  # the group whose copy each server is serving
+    busy = []  # the busy servers, in any order
+    slot = [0] * k  # slot[s]: position of s in busy while s is busy
 
     batch_done_samples = []
     probe_done_samples = []
-    counts = {
-        "batches_arrived": 0,
-        "batches_completed": 0,
-        "copies_created": 0,
-        "copies_served": 0,
-        "copies_removed_queued": 0,
-        "copies_preempted": 0,
-        "probes_injected": 0,
-    }
-    monitored_open = 0
-    probes_open = 0
+    arrived = completed = served = removed_queued = preempted = probes = 0
+    monitored_open = probes_open = 0
 
-    def push(t, copy):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, copy))
-        seq += 1
-
-    def start_service(s, copy, t):
-        copy.state = IN_SERVICE
-        in_service[s] = copy
-        push(t + rng.exponential(), copy)
-
-    def start_next(s, t):
+    def free(s, t):
+        """Server s's copy left: s starts its next live copy or goes idle."""
         nonlocal probes_open
         q = queues[s]
         while q:
-            c = q.popleft()
-            if c.state == QUEUED:
-                start_service(s, c, t)
-                return
-            if c.state == PROBE:  # everything ahead of the probe has left
-                probe_done_samples.append((t - c.t_arrive) + c.service)
+            e = q.popleft()
+            if e.__class__ is _Probe:  # everything ahead of the probe has left
+                probe_done_samples.append((t - e.t_arrive) + e.service)
                 probes_open -= 1
+            elif e.live:
+                in_service[s] = e
+                return
+        in_service[s] = None
+        i = slot[s]
+        last = busy.pop()
+        if last != s:
+            busy[i] = last
+            slot[last] = i
 
-    def leave(copy, t):
-        """Take a served or removed copy out; a freed server starts its next copy."""
-        serving = copy.state == IN_SERVICE
-        copy.state = GONE
-        if serving:
-            in_service[copy.server] = None
-            start_next(copy.server, t)
+    t = area = 0.0
+    t_start = area_start = t_stop = area_stop = None
+    rate = batch_rate  # 0 once arrivals stop
 
-    push(rng.exponential(1.0 / batch_rate), None)
-    stop_arrivals = False
+    while True:
+        nbusy = len(busy)
+        total = rate + nbusy
+        if total == 0.0:  # drained
+            break
+        dt = expo() / total
+        t += dt
+        area += nbusy * dt
+        x = unif() * total
 
-    while heap:
-        t, _, copy = heapq.heappop(heap)
-
-        if copy is None:  # batch arrival
-            idx = counts["batches_arrived"]
-            counts["batches_arrived"] += 1
-            monitored = config.warmup <= idx < config.horizon
+        if x < rate:  # batch arrival
+            if arrived == warmup:
+                t_start, area_start = t, area
+            monitored = warmup <= arrived < horizon
+            arrived += 1
             batch = _Batch(t, groups, monitored)
             if monitored:
                 monitored_open += 1
-                if config.probe_rate > 0 and rng.random() < config.probe_rate:
-                    s = int(rng.integers(k))
-                    service = rng.exponential()
-                    counts["probes_injected"] += 1
+                if probe_rate > 0 and unif() < probe_rate:
+                    s = int(unif() * k)
+                    service = expo()
+                    probes += 1
                     if in_service[s] is None:  # an idle server has an empty queue
                         probe_done_samples.append(service)
                     else:
                         queues[s].append(_Probe(t, service))
                         probes_open += 1
-            # Draw every group's servers before any service time: the order
-            # of draws fixes each seed's output.
-            placements = [_sample_distinct(rng, k, size) for _ in range(groups)]
-            for servers in placements:
-                group = _Group(batch)
+            for _ in range(groups):
+                servers = []
+                for j in floyd:  # Floyd: a uniform size-subset of range(k)
+                    s = int(unif() * (j + 1))
+                    servers.append(j if s in servers else s)
+                group = _Group(batch, servers)
                 for s in servers:
-                    c = _Copy(group, s)
-                    group.copies.append(c)
-                    counts["copies_created"] += 1
                     if in_service[s] is None:
-                        start_service(s, c, t)
+                        in_service[s] = group
+                        slot[s] = len(busy)
+                        busy.append(s)
                     else:
-                        queues[s].append(c)
-            if not stop_arrivals:
-                push(t + rng.exponential(1.0 / batch_rate), None)
+                        queues[s].append(group)
 
-        elif copy.state == IN_SERVICE:  # service completion; else stale
-            counts["copies_served"] += 1
-            leave(copy, t)  # its server starts its next copy before any sibling leaves
-            group = copy.group
+        else:  # service completion at a uniformly chosen busy server
+            i = int(x - rate)
+            s = busy[i if i < nbusy else nbusy - 1]
+            group = in_service[s]
+            served += 1
+            group.unserved.remove(s)
+            free(s, t)  # its server starts its next copy before any sibling leaves
             group.served += 1
             if group.served == need:
-                if config.removal:
-                    for c in group.copies:
-                        if c.state != GONE:
-                            serving = c.state == IN_SERVICE
-                            counts["copies_preempted" if serving else "copies_removed_queued"] += 1
-                            leave(c, t)
-                group.copies = None  # no longer needed; frees the copy-group cycle
+                if removal:
+                    group.live = False
+                    for s in group.unserved:
+                        if in_service[s] is group:
+                            preempted += 1
+                            free(s, t)
+                        else:
+                            removed_queued += 1
                 batch = group.batch
                 batch.open_groups -= 1
                 if batch.open_groups == 0:
-                    counts["batches_completed"] += 1
+                    completed += 1
                     if batch.monitored:
                         batch_done_samples.append(t - batch.t_arrive)
                         monitored_open -= 1
 
-        if (
-            counts["batches_arrived"] >= config.horizon
-            and monitored_open == 0
-            and probes_open == 0
-        ):
-            stop_arrivals = True
+        if arrived >= horizon and rate and monitored_open == 0 and probes_open == 0:
+            rate = 0.0
+            t_stop, area_stop = t, area
             if not config.drain:
                 break
 
     return SimResult(
         batch_samples=np.sort(np.array(batch_done_samples)),
         probe_samples=np.sort(np.array(probe_done_samples)),
-        counts=dict(counts),
+        counts={
+            "batches_arrived": arrived,
+            "batches_completed": completed,
+            "copies_created": arrived * groups * size,
+            "copies_served": served,
+            "copies_removed_queued": removed_queued,
+            "copies_preempted": preempted,
+            "probes_injected": probes,
+            "busy_time": area_stop - area_start,
+            "monitored_time": t_stop - t_start,
+        },
         config=config,
     )
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ttest_ind
 
 from redqueue import (
     MeanFieldProblem,
@@ -197,22 +197,50 @@ def test_criterion_8_codec():
            f"exhaustive bit-exact: {exhaustive_ok}, random-linear rate {rate:.4f}")
 
 
+# Criterion 9 compares per-seed statistics: the mean and the tail fractions
+# above the pooled quantiles QUANTILES_9.  Runs of different seeds are
+# independent, so a Welch t-test across them is valid however strongly the
+# sojourns within one run are correlated; pooling those sojourns into one
+# KS test is not.
+QUANTILES_9 = (0.5, 0.9, 0.99)
+SEEDS_9 = 8
+
+
+def run_statistics(runs, cuts):
+    """One row per run: its mean and its fraction above each cut."""
+    return np.array([[x.mean(), *(np.mean(x > c) for c in cuts)] for x in runs])
+
+
+def same_law_pvalue(a_runs, b_runs):
+    """Bonferroni-corrected Welch p-value that two sets of runs share one law."""
+    cuts = np.quantile(np.concatenate(a_runs + b_runs), QUANTILES_9)
+    p = ttest_ind(run_statistics(a_runs, cuts), run_statistics(b_runs, cuts),
+                  equal_var=False).pvalue
+    return min(1.0, len(p) * float(p.min()))
+
+
 def test_criterion_9_replication_as_coding():
     t0 = time.perf_counter()
     details = []
     ok = True
+    rep_runs = {}
     for d in (2, 3):
-        mds_res = run(SimConfig(
+        mds_runs = [run(SimConfig(
             params=SystemParams(lam=0.5, n=1, m=d - 1, k=200), policy="mds",
-            seed=1000 + d, horizon=110_000, warmup=10_000, probe_rate=0.0,
-        ))
-        rep_res = run(SimConfig(
+            seed=1000 + 10 * d + r, horizon=40_000, warmup=4_000, probe_rate=0.0,
+        )).batch_samples for r in range(SEEDS_9)]
+        rep_runs[d] = [run(SimConfig(
             params=SystemParams(lam=0.5, n=1, d=d, k=200), policy="replication",
-            seed=2000 + d, horizon=110_000, warmup=10_000, probe_rate=0.0,
-        ))
-        stat = ks_2samp(mds_res.batch_samples, rep_res.batch_samples)
-        ok &= stat.pvalue > 0.01
-        details.append(f"d={d}: KS p={stat.pvalue:.3f}")
+            seed=2000 + 10 * d + r, horizon=40_000, warmup=4_000, probe_rate=0.0,
+        )).batch_samples for r in range(SEEDS_9)]
+        p = same_law_pvalue(mds_runs, rep_runs[d])
+        ok &= p > 0.01
+        details.append(f"d={d}: p={p:.3f}")
+    # the same test must tell a known-different pair apart
+    p = same_law_pvalue(rep_runs[2], rep_runs[3])
+    ok &= p <= 0.01
+    details.append(f"replication d=2 vs d=3: p={p:.1e}")
     elapsed = time.perf_counter() - t0
     report(9, "mds(1,d-1) vs replication(d) indistinguishable", ok, elapsed, 300.0,
-           "; ".join(details))
+           f"{SEEDS_9} seeds a side, Welch t x{len(QUANTILES_9) + 1} Bonferroni; "
+           + "; ".join(details))

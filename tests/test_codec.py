@@ -1,11 +1,13 @@
 """Finite-field arithmetic and the MDS encode/decode round trip."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from redqueue import CodedJob, DecodingError, build_matrix, decode, encode
+from redqueue.codec import SCHEMES
 from redqueue.gf import GaloisField
 
 
@@ -152,6 +154,38 @@ class TestEncodeDecode:
         ca, cb, cab = (encode(js, 3) for js in (a, b, ab))
         for ja, jb, jab in zip(ca, cb, cab):
             assert jab.payload == bytes(x ^ y for x, y in zip(ja.payload, jb.payload))
+
+    @pytest.mark.parametrize("field_order", [256, 65536])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_linear_servers_commute_with_decoding(self, scheme, field_order):
+        # The paper's premise: a server's output is a field-linear map A of
+        # its input, so any n served coded jobs decode to A applied to each
+        # original job.  Here A is a random 6 x 10 matrix over the field.
+        gf = GaloisField.get(field_order)
+        dtype = np.uint8 if field_order == 256 else ">u2"
+        rng = np.random.default_rng(field_order + SCHEMES.index(scheme))
+        n, m = 3, 3
+        A = rng.integers(0, field_order, (6, 10)).astype(np.int64)
+
+        def serve(payload):
+            symbols = np.frombuffer(payload, dtype).astype(np.int64)
+            return gf.matmul(A, symbols[:, None])[:, 0].astype(dtype).tobytes()
+
+        jobs = [rng.integers(0, field_order, 10).astype(dtype).tobytes() for _ in range(n)]
+        coded = encode(jobs, m, scheme=scheme, seed=int(rng.integers(2**31)),
+                       field_order=field_order)
+        served = [replace(c, payload=serve(c.payload)) for c in coded]
+        expected = [serve(job) for job in jobs]
+        decoded = 0
+        for sub in combinations(range(n + m), n):
+            rows = np.stack([coded[i].coefficients for i in sub])
+            if gf.solve(rows, np.eye(n, dtype=np.int64)) is None:
+                # only a random-linear code can pick a singular subset
+                assert scheme == "random-linear"
+                continue
+            assert decode([served[i] for i in sub]) == expected, sub
+            decoded += 1
+        assert decoded >= 19  # of the 20 subsets
 
     def test_random_linear_gf16_mostly_recoverable(self):
         rng = np.random.default_rng(6)

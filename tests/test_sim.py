@@ -137,23 +137,25 @@ class TestPinnedStream:
     """Exact output of two fixed-seed cells.
 
     Any change to the order of random draws moves these values.  A
-    deliberate stream change (such as a heap-free event loop) updates the
-    pins and logs the change in CHANGES.md.
+    deliberate stream change (such as a new block size or placement draw)
+    updates the pins and logs the change in CHANGES.md.
     """
 
     @pytest.mark.parametrize("policy, params, counts, samples, probes", [
         ("replication", SystemParams(lam=0.6, n=2, d=3, k=50),
-         dict(batches_arrived=3014, batches_completed=3004, copies_created=18084,
-              copies_served=6013, copies_removed_queued=4168, copies_preempted=7858,
-              probes_injected=527),
-         (0.010197245376446062, 0.7066259642049033, 3.0411051696803355),
-         (0.003064668305649109, 1.037400886497391, 6.257736766900664)),
+         dict(batches_arrived=3033, batches_completed=3014, copies_created=18198,
+              copies_served=6037, copies_removed_queued=4316, copies_preempted=7758,
+              probes_injected=540, busy_time=5498.068191939732,
+              monitored_time=182.07844964033),
+         (0.014144639218940824, 0.7312731587195174, 3.1307828063334),
+         (0.002276018892920775, 1.0440749786816785, 6.209713539448177)),
         ("mds", SystemParams(lam=0.6, n=3, m=2, k=50),
-         dict(batches_arrived=3027, batches_completed=3004, copies_created=15135,
-              copies_served=9033, copies_removed_queued=1523, copies_preempted=4485,
-              probes_injected=522),
-         (0.07739057715855324, 1.2911860763932168, 4.532886935021992),
-         (0.0015313767686242026, 1.3726047960417307, 6.7847836417283)),
+         dict(batches_arrived=3032, batches_completed=3015, copies_created=15160,
+              copies_served=9061, copies_removed_queued=1538, copies_preempted=4492,
+              probes_injected=530, busy_time=8184.897730928565,
+              monitored_time=271.8489977415494),
+         (0.07627311301087047, 1.265184392211097, 4.549255896549205),
+         (0.005035371253901955, 1.2641974565816942, 6.495231234819785)),
     ], ids=["replication", "mds"])
     def test_fixed_seed_output(self, policy, params, counts, samples, probes):
         res = run(SimConfig(params=params, policy=policy, seed=2024,
@@ -208,6 +210,70 @@ class TestRemovalAccounting:
         assert c["copies_removed_queued"] == 0
         assert c["copies_preempted"] == 0
         assert c["copies_served"] == c["copies_created"]
+
+
+# Independent replications: a t-interval across seeds is valid whatever the
+# correlation between the samples of one run.
+SEEDS = range(8)
+
+
+def t_interval(values, level=0.999):
+    """Two-sided Student-t interval for the mean of independent per-seed values."""
+    from scipy.stats import t as student_t
+
+    values = np.asarray(values)
+    se = values.std(ddof=1) / np.sqrt(values.size)
+    half = student_t.ppf(0.5 + level / 2, values.size - 1) * se
+    return values.mean() - half, values.mean() + half
+
+
+class TestExactSmallK:
+    """replication(d = k), n = 1: exact finite-k laws, no mean field.
+
+    Every batch puts a copy on every server and removal keeps all k FIFOs
+    identical, so the system is one M/M/1 queue with arrival rate lam*k and
+    service rate k.  The batch sojourn is Exp(k(1 - lam)); a ghost probe
+    waits for that queue's waiting time and adds Exp(1), so its mean is
+    1 + lam/(k(1 - lam)).  Every completion preempts k - 1 copies, so these
+    cells exercise removal harder than any other.
+    """
+
+    @pytest.mark.parametrize("k, lam", [(4, 0.5), (10, 0.8)])
+    def test_batch_and_probe_means(self, k, lam):
+        batch, probe = [], []
+        for seed in SEEDS:
+            res = run(SimConfig(params=SystemParams(lam=lam, n=1, d=k, k=k),
+                                policy="replication", seed=seed, horizon=20_000,
+                                warmup=2_000, probe_rate=1.0))
+            batch.append(res.batch_samples.mean())
+            probe.append(res.probe_samples.mean())
+        lo, hi = t_interval(batch)
+        assert lo <= 1 / (k * (1 - lam)) <= hi
+        lo, hi = t_interval(probe)
+        assert lo <= 1 + lam / (k * (1 - lam)) <= hi
+
+
+class TestBusyFraction:
+    """The busy fraction is lam for every policy.
+
+    Each batch ends with exactly n served copies and Exp(1) service
+    completes at a rate equal to the number of busy servers, so removal
+    does not overburden the servers, however many copies it cancels.
+    """
+
+    @pytest.mark.parametrize("policy, params", [
+        ("mds", SystemParams(lam=0.5, n=3, m=3, k=100)),
+        ("mds", SystemParams(lam=0.8, n=2, m=4, k=100)),
+        ("replication", SystemParams(lam=0.5, n=3, d=3, k=100)),
+    ], ids=["mds-3-3", "mds-2-4", "replication-3-3"])
+    def test_busy_fraction_is_lam(self, policy, params):
+        fractions = []
+        for seed in SEEDS:
+            c = run(SimConfig(params=params, policy=policy, seed=seed, horizon=5_000,
+                              warmup=500, probe_rate=0.0)).counts
+            fractions.append(c["busy_time"] / (params.k * c["monitored_time"]))
+        lo, hi = t_interval(fractions)
+        assert lo <= params.lam <= hi
 
 
 class TestAgainstClosedForm:
